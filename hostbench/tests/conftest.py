@@ -1,0 +1,12 @@
+"""Put the program's sources on the import path for the benchmark tests.
+
+Run from the root of the repository with
+``python -m pytest hostbench/tests``.
+"""
+
+import os
+import sys
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))), "src")
+if SRC not in sys.path:
+    sys.path.insert(0, SRC)
