@@ -12,7 +12,8 @@ Layers (bottom up):
   EA-MPU, exception engine, timers, MMIO sensors, platform key.
 * :mod:`repro.isa` / :mod:`repro.image` - instruction set, assembler,
   relocatable TELF binaries, and linker.
-* :mod:`repro.crypto` - from-scratch SHA-1 / HMAC / KDF / XTEA.
+* :mod:`repro.crypto` - block-granular SHA-1 (host hash on ``hashlib``),
+  HMAC, KDF, from-scratch XTEA.
 * :mod:`repro.rtos` - the FreeRTOS-like preemptive real-time kernel.
 * :mod:`repro.core` - TyTAN's trusted components and the
   :class:`~repro.core.system.TyTAN` facade.

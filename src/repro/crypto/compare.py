@@ -7,14 +7,12 @@ with :func:`constant_time_equal`.
 
 from __future__ import annotations
 
+import hmac
+
 
 def constant_time_equal(left, right):
-    """Compare two byte strings without early exit on mismatch."""
-    left = bytes(left)
-    right = bytes(right)
-    if len(left) != len(right):
-        return False
-    diff = 0
-    for a, b in zip(left, right):
-        diff |= a ^ b
-    return diff == 0
+    """Compare two byte strings without early exit on mismatch.
+
+    Strings of different lengths compare unequal.
+    """
+    return hmac.compare_digest(bytes(left), bytes(right))

@@ -1,22 +1,18 @@
-"""HMAC-SHA-1 (RFC 2104), from scratch.
+"""HMAC-SHA-1 (RFC 2104), on the standard library.
 
 TyTAN uses MACs for remote attestation reports and for task key
 derivation: ``K_t = HMAC(id_t | K_p)`` binds a storage key to both the
-task identity and the platform (Section 3, "Secure storage").
+task identity and the platform (Section 3, "Secure storage").  The
+simulated cost of a MAC is charged from :mod:`repro.cycles`, so the
+host computes it with :func:`hmac.digest`.
 """
 
 from __future__ import annotations
 
-from repro.crypto.sha1 import BLOCK_BYTES, SHA1, sha1
+import hashlib
+import hmac
 
 
 def hmac_sha1(key, message):
     """Compute ``HMAC-SHA1(key, message)``; returns 20 bytes."""
-    key = bytes(key)
-    if len(key) > BLOCK_BYTES:
-        key = sha1(key)
-    key = key + b"\x00" * (BLOCK_BYTES - len(key))
-    inner_pad = bytes(k ^ 0x36 for k in key)
-    outer_pad = bytes(k ^ 0x5C for k in key)
-    inner = SHA1(inner_pad).update(message).digest()
-    return SHA1(outer_pad).update(inner).digest()
+    return hmac.digest(bytes(key), bytes(message), hashlib.sha1)

@@ -1,42 +1,40 @@
-"""SHA-1, implemented from the FIPS 180-4 specification.
+"""SHA-1 with a block-granular, interruptible interface.
 
-The implementation is deliberately structured around the 64-byte
-compression block: :meth:`SHA1.update` buffers input and compresses one
-block at a time, and :meth:`SHA1.compress_pending` lets a caller drive
-compression *one block per call*.  The RTM uses that entry point so task
-measurement can be interrupted at block boundaries, which is exactly how
-TyTAN keeps hashing real-time compliant (Section 3, "Attestation").
+:meth:`SHA1.update` absorbs input and compresses every full 64-byte
+block at once; :meth:`SHA1.feed` only buffers, and
+:meth:`SHA1.compress_pending` lets a caller drive compression a bounded
+number of blocks per call.  The RTM uses that entry point so task
+measurement can be interrupted at block boundaries, which is how TyTAN
+keeps hashing real-time compliant (Section 3, "Attestation").
 
-SHA-1 is cryptographically broken for collision resistance; we implement
-it because the paper does.  The interface mirrors ``hashlib`` so a
+Interruptibility is a property of this *interface* and of the simulated
+costs in :mod:`repro.cycles` the RTM charges per block - not of the host
+implementation.  The compression itself runs on :func:`hashlib.sha1`:
+the host hash is not part of the model, so it only has to be fast and
+produce the FIPS 180-4 digest.
+
+SHA-1 is cryptographically broken for collision resistance; we use it
+because the paper does.  The interface mirrors ``hashlib`` so a
 stronger hash could be swapped in, as the paper notes.
 """
 
 from __future__ import annotations
 
-import struct
+import hashlib
 
 #: Compression block size in bytes.
 BLOCK_BYTES = 64
 #: Digest size in bytes.
 DIGEST_BYTES = 20
 
-_MASK = 0xFFFFFFFF
-
-
-def _rotl(value, count):
-    """Rotate a 32-bit value left by ``count``."""
-    return ((value << count) | (value >> (32 - count))) & _MASK
-
 
 class SHA1:
     """Incremental SHA-1 state."""
 
     def __init__(self, data=b""):
-        self._h = [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0]
-        self._buffer = bytearray()
-        self._length = 0  # total message bytes absorbed
-        self._finalized = False
+        self._state = hashlib.sha1()
+        self._buffer = bytearray()  # fed bytes not yet compressed
+        self._digest = None  # set once finalized
         if data:
             self.update(data)
 
@@ -44,22 +42,14 @@ class SHA1:
 
     def update(self, data):
         """Absorb ``data``, compressing full blocks immediately."""
-        if self._finalized:
-            raise ValueError("cannot update a finalized SHA1")
-        self._buffer += bytes(data)
-        self._length += len(data)
-        while len(self._buffer) >= BLOCK_BYTES:
-            self._compress(bytes(self._buffer[:BLOCK_BYTES]))
-            del self._buffer[:BLOCK_BYTES]
+        self._append(data)
+        self._absorb(self.pending_blocks())
         return self
 
     def feed(self, data):
         """Buffer ``data`` *without* compressing (pair with
         :meth:`compress_pending` for interruptible hashing)."""
-        if self._finalized:
-            raise ValueError("cannot feed a finalized SHA1")
-        self._buffer += bytes(data)
-        self._length += len(data)
+        self._append(data)
         return self
 
     def pending_blocks(self):
@@ -70,20 +60,29 @@ class SHA1:
         """Compress up to ``max_blocks`` buffered blocks; returns how
         many were actually compressed.  This is the RTM's interruptible
         work unit."""
-        done = 0
-        while done < max_blocks and len(self._buffer) >= BLOCK_BYTES:
-            self._compress(bytes(self._buffer[:BLOCK_BYTES]))
-            del self._buffer[:BLOCK_BYTES]
-            done += 1
+        done = max(0, min(max_blocks, self.pending_blocks()))
+        self._absorb(done)
         return done
+
+    def _append(self, data):
+        if self._digest is not None:
+            raise ValueError("cannot absorb into a finalized SHA1")
+        self._buffer += bytes(data)
+
+    def _absorb(self, blocks):
+        cut = blocks * BLOCK_BYTES
+        self._state.update(self._buffer[:cut])
+        del self._buffer[:cut]
 
     # -- finalisation -----------------------------------------------------
 
     def digest(self):
         """Finalize (idempotently) and return the 20-byte digest."""
-        if not self._finalized:
-            self._pad_and_finish()
-        return struct.pack(">5I", *self._h)
+        if self._digest is None:
+            self._state.update(self._buffer)
+            self._buffer.clear()
+            self._digest = self._state.digest()
+        return self._digest
 
     def hexdigest(self):
         """The digest as lowercase hex."""
@@ -92,56 +91,12 @@ class SHA1:
     def copy(self):
         """Independent copy of the current state."""
         clone = SHA1()
-        clone._h = list(self._h)
+        clone._state = self._state.copy()
         clone._buffer = bytearray(self._buffer)
-        clone._length = self._length
-        clone._finalized = self._finalized
+        clone._digest = self._digest
         return clone
-
-    def _pad_and_finish(self):
-        bit_length = self._length * 8
-        self._buffer += b"\x80"
-        while len(self._buffer) % BLOCK_BYTES != 56:
-            self._buffer += b"\x00"
-        self._buffer += struct.pack(">Q", bit_length)
-        while self._buffer:
-            self._compress(bytes(self._buffer[:BLOCK_BYTES]))
-            del self._buffer[:BLOCK_BYTES]
-        self._finalized = True
-
-    # -- the compression function -------------------------------------------
-
-    def _compress(self, block):
-        w = list(struct.unpack(">16I", block))
-        for t in range(16, 80):
-            w.append(_rotl(w[t - 3] ^ w[t - 8] ^ w[t - 14] ^ w[t - 16], 1))
-
-        a, b, c, d, e = self._h
-        for t in range(80):
-            if t < 20:
-                f = (b & c) | (~b & d)
-                k = 0x5A827999
-            elif t < 40:
-                f = b ^ c ^ d
-                k = 0x6ED9EBA1
-            elif t < 60:
-                f = (b & c) | (b & d) | (c & d)
-                k = 0x8F1BBCDC
-            else:
-                f = b ^ c ^ d
-                k = 0xCA62C1D6
-            temp = (_rotl(a, 5) + f + e + k + w[t]) & _MASK
-            e, d, c, b, a = d, c, _rotl(b, 30), a, temp
-
-        self._h = [
-            (self._h[0] + a) & _MASK,
-            (self._h[1] + b) & _MASK,
-            (self._h[2] + c) & _MASK,
-            (self._h[3] + d) & _MASK,
-            (self._h[4] + e) & _MASK,
-        ]
 
 
 def sha1(data):
     """One-shot SHA-1 digest of ``data``."""
-    return SHA1(data).digest()
+    return hashlib.sha1(bytes(data)).digest()

@@ -25,12 +25,13 @@ A *rogue* device models a compromised member.  Two behaviours
 
 from __future__ import annotations
 
+import functools
 import struct
 
 from repro.core.identity import identity_of_image
 from repro.core.system import TyTAN
 from repro.crypto.kdf import derive_key
-from repro.crypto.sha1 import SHA1
+from repro.crypto.sha1 import sha1
 from repro.errors import AttestationError
 from repro.hw.platform import MachineConfig
 from repro.image.linker import link
@@ -129,6 +130,12 @@ def expected_fleet_identity(cfa=False):
     return identity_of_image(fleet_task_image(cfa=cfa))
 
 
+@functools.lru_cache(maxsize=1)
+def _fleet_keys(fleet_seed):
+    """The fleet master secret, and a memo of the K_p derived from it."""
+    return sha1(b"tytan-fleet-%d" % fleet_seed), {}
+
+
 def device_platform_key(fleet_seed, device_id):
     """The per-device fused platform key K_p.
 
@@ -136,9 +143,17 @@ def device_platform_key(fleet_seed, device_id):
     verifier registry agree without shipping key material around -
     this models the out-of-band K_p sharing of the paper's symmetric
     scheme at fleet scale.
+
+    Each process memoises the keys of the latest fleet seed, so a
+    pooled machine rekeyed to a device reuses the K_p the verifier
+    registry (or an earlier rekey in the same worker) already derived.
+    The memo is host-side only: rekeying charges no simulated cycles.
     """
-    master = SHA1(b"tytan-fleet-%d" % fleet_seed).digest()
-    return derive_key(master, b"device", struct.pack("<I", device_id))
+    master, memo = _fleet_keys(fleet_seed)
+    key = memo.get(device_id)
+    if key is None:
+        key = memo[device_id] = derive_key(master, b"device", struct.pack("<I", device_id))
+    return key
 
 
 class FleetDevice:

@@ -1155,6 +1155,7 @@ def generate_trace(trace, fast=False, prefix=False):
                 out.emit(1, "i%d = e - w[3]" % site)
     if fast:
         out.emit(1, "for _ in range(n):")
+        loop_top = len(out.lines)
         em = _FoldEmitter(out, 2)
     elif looping:
         out.emit(1, "while n:")
@@ -1735,6 +1736,9 @@ def generate_trace(trace, fast=False, prefix=False):
         # flag writer, the guard provably taken, and nothing else
         # observable in between.
         em.materialize_all()
+        if len(out.lines) == loop_top:
+            # the whole body folded away (e.g. ``not eax`` twice)
+            out.emit(2, "pass")
         counter = trace.counter_reg
         if counter_lone:
             # the elided per-iteration decrements, applied at once

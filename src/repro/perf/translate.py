@@ -728,7 +728,9 @@ class BlockEngine:
         eip = cpu.regs.eip
         if jit is not None:
             charged = jit.dispatch(cpu, eip)
-            if charged is not None:
+            # Zero cycles: the trace's first guard failed before any
+            # instruction retired, so this tier must execute it.
+            if charged:
                 return charged
         block = cache.entries.get(eip)
         stats = cache.stats

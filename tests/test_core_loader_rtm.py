@@ -5,6 +5,7 @@ import pytest
 from repro import cycles
 from repro.core.identity import identity_of_image
 from repro.errors import MPUSlotError
+from repro.fleet.device import fleet_task_image
 from repro.rtos.task import NativeCall
 from repro.sim.workloads import synthetic_image
 
@@ -140,7 +141,29 @@ class TestLoading:
         assert second.identity == identity
 
 
+#: RTM identity, hashed blocks and measurement cycles per task, pinned
+#: so that no change of the host hash implementation moves what the
+#: model reports.
+MEASUREMENT_PINS = {
+    "fleet-agent": ("5ff58e3393949aa7a2b44c3c0c973ff86906e41e", 3, 197_429),
+    "fleet-cfa-agent": ("a3f5ab37fe7faaba365de3e3f2325533d18f7de8", 1, 195_505),
+    "counter-task": ("6a17a6d1a45a58fd44a69c32d4f32d3b8ab64a72", 1, 190_067),
+}
+
+
 class TestRTM:
+    @pytest.mark.parametrize("label", sorted(MEASUREMENT_PINS))
+    def test_measurement_pinned(self, system, label):
+        if label == "counter-task":
+            task = system.load_source(COUNTER_TASK, secure=True, name="counter")
+        else:
+            image = fleet_task_image(cfa=label == "fleet-cfa-agent")
+            task = system.load_task(image, secure=True, name="fleet-agent")
+        identity, blocks, cycle_count = MEASUREMENT_PINS[label]
+        assert task.identity.hex() == identity
+        assert system.rtm.last_measurement["blocks"] == blocks
+        assert system.rtm.last_measurement["cycles"] == cycle_count
+
     def test_identity_matches_oracle(self, system):
         image = synthetic_image(blocks=4, relocations=3)
         task = system.load_task(image, secure=True)

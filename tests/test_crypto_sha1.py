@@ -1,8 +1,10 @@
-"""Tests for the from-scratch SHA-1 (FIPS 180-4 vectors + API)."""
+"""Tests for SHA-1 (FIPS 180-4 vectors + the block-granular API)."""
 
 import pytest
 
 from repro.crypto.sha1 import BLOCK_BYTES, DIGEST_BYTES, SHA1, sha1
+
+from sha1_reference import ReferenceSHA1
 
 # Known-answer vectors (FIPS / RFC 3174).
 VECTORS = [
@@ -23,6 +25,14 @@ VECTORS = [
 @pytest.mark.parametrize("message,expected", VECTORS)
 def test_known_answer_vectors(message, expected):
     assert sha1(message).hex() == expected
+
+
+@pytest.mark.parametrize(
+    "message,expected", [v for v in VECTORS if len(v[0]) < 1_000], ids=range(4)
+)
+def test_reference_oracle_vectors(message, expected):
+    """The test oracle itself reproduces the FIPS vectors."""
+    assert ReferenceSHA1(message).hexdigest() == expected
 
 
 def test_digest_length():

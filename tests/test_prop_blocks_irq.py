@@ -142,6 +142,30 @@ def test_blocks_invisible_under_random_irqs(body, iterations, tick_period):
     iterations=st.integers(min_value=2, max_value=40),
     tick_period=st.integers(min_value=60, max_value=3000),
 )
+# Regression: a closed-form loop whose body folds away entirely once
+# compiled to a ``for`` with no statements under it.
+@example(
+    body=["not eax", "addi eax, 0", "addi eax, 0", "not eax"],
+    iterations=10,
+    tick_period=60,
+)
+# Regression: an IRQ returning onto the loop's ``jnz`` after the final
+# decrement made a trace anchored there fail its first guard and charge
+# zero cycles, which the block tier took as progress - a livelock.
+@example(
+    body=[
+        "st [ebx+152], esi",
+        "add ebp, edx",
+        "ld edi, [ebx+104]",
+        "andi edi, 65535",
+        "cmp ebp, eax",
+        "ld edx, [ebx+172]",
+        "ldb eax, [ebx+12]",
+        "subi ebp, 690",
+    ],
+    iterations=13,
+    tick_period=60,
+)
 def test_traces_invisible_under_random_irqs(body, iterations, tick_period):
     """The trace JIT is architecturally invisible: traces-on vs
     traces-off (block tier in both) agree on every final-state field

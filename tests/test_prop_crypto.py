@@ -10,6 +10,20 @@ from repro.crypto.kdf import derive_key
 from repro.crypto.sha1 import SHA1, sha1
 from repro.crypto.xtea import XTEA, xtea_ctr
 
+from sha1_reference import ReferenceSHA1
+
+#: One step on a hash state: absorb, buffer, compress up to k blocks,
+#: or fork (the original is finalized, the copy carries on).
+_SHA1_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("update"), st.binary(max_size=200)),
+        st.tuples(st.just("feed"), st.binary(max_size=200)),
+        st.tuples(st.just("compress"), st.integers(min_value=0, max_value=4)),
+        st.tuples(st.just("copy"), st.none()),
+    ),
+    max_size=24,
+)
+
 
 class TestSHA1Properties:
     @given(st.binary(max_size=2_048))
@@ -32,6 +46,28 @@ class TestSHA1Properties:
             via_feed.compress_pending()
         via_feed.update(tail)
         assert via_feed.digest() == sha1(head + tail)
+
+    @given(_SHA1_OPS)
+    def test_block_interface_matches_reference(self, ops):
+        """Any interleaving of the RTM's block-granular calls gives the
+        same digests and block counts from the FIPS 180-4 reference,
+        from ``SHA1`` and from ``hashlib``."""
+        ours, reference, message = SHA1(), ReferenceSHA1(), b""
+        for op, arg in ops:
+            if op == "compress":
+                assert ours.compress_pending(arg) == reference.compress_pending(arg)
+            elif op == "copy":
+                forks = ours.copy(), reference.copy()
+                expected = hashlib.sha1(message).digest()
+                assert ours.digest() == reference.digest() == expected
+                ours, reference = forks
+            else:
+                getattr(ours, op)(arg)
+                getattr(reference, op)(arg)
+                message += arg
+            assert ours.pending_blocks() == reference.pending_blocks()
+        expected = hashlib.sha1(message).digest()
+        assert ours.digest() == reference.digest() == expected
 
 
 class TestHMACProperties:
