@@ -3,13 +3,12 @@
 * :mod:`repro.fleet.config` - the typed configuration objects
   (:class:`FleetConfig`, :class:`ShardConfig`, :class:`StoreConfig`;
   :class:`~repro.net.fabric.FabricProfile` re-exported), the single
-  construction path of the 1.4 API.
+  construction path of the fleet stack.
 * :mod:`repro.fleet.device` - one TyTAN machine behind a NIC, speaking
   the attestation wire protocol.
 * :mod:`repro.fleet.snapshot` - snapshot-fork boot: one secure-booted
-  template per device class, forked and rekeyed per device.
-* :mod:`repro.fleet.executors` - serial and multiprocessing-pool
-  device stepping over boot-mode-aware device pools.
+  template per device class, forked and rekeyed per device, behind the
+  boot-mode-aware :class:`DevicePool` the orchestrator steps.
 * :mod:`repro.fleet.service` - one verifier shard: fresh nonces with
   tick-time expiry, retry/backoff, quarantine, health reporting.
 * :mod:`repro.fleet.shards` - consistent-hash sharding of the verifier
@@ -17,7 +16,7 @@
 * :mod:`repro.fleet.store` - pluggable attestation-state persistence
   (in-memory or JSONL) with checkpoint/resume.
 * :mod:`repro.fleet.orchestrator` - :class:`Fleet`, the end-to-end
-  deterministic fleet run.
+  deterministic fleet run over K simulated compute lanes.
 * :mod:`repro.fleet.result` - :class:`FleetResult`, the typed,
   schema-versioned run outcome.
 """

@@ -1,6 +1,6 @@
 """Typed configuration objects for the fleet stack.
 
-These are the single construction path for the 1.4 fleet API::
+These are the single construction path for the fleet stack::
 
     config = FleetConfig(devices=10_000, seed=7, boot_mode="snapshot")
     fleet = Fleet(
@@ -50,8 +50,10 @@ class FleetConfig:
         fabric RNG.  Two runs with equal configs and seeds are
         bit-identical.
     workers:
-        Worker-pool size (compute lanes); ``0`` steps devices serially
-        in-process (one lane).
+        Simulated compute lanes: the run models ``max(1, workers)``
+        lanes, device ``d`` queueing on lane ``d % lanes``.  Devices
+        are always stepped in-process on one host thread; ``0`` and
+        ``1`` both mean one lane (only the ``workers`` echo differs).
     boot_mode:
         ``"snapshot"`` boots one template machine per device class
         through secure boot and forks the rest from its snapshot

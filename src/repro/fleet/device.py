@@ -144,9 +144,9 @@ def device_platform_key(fleet_seed, device_id):
     this models the out-of-band K_p sharing of the paper's symmetric
     scheme at fleet scale.
 
-    Each process memoises the keys of the latest fleet seed, so a
-    pooled machine rekeyed to a device reuses the K_p the verifier
-    registry (or an earlier rekey in the same worker) already derived.
+    The keys of the latest fleet seed are memoised, so a pooled
+    machine rekeyed to a device reuses the K_p the verifier registry
+    (or an earlier rekey) already derived.
     The memo is host-side only: rekeying charges no simulated cycles.
     """
     master, memo = _fleet_keys(fleet_seed)

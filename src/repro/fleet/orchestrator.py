@@ -16,9 +16,9 @@ The pieces:
 * a :class:`~repro.net.fabric.NetworkFabric` with one endpoint per
   device plus the verifier tier's, every link sharing the configured
   :class:`~repro.net.fabric.FabricProfile` (seeded RNG);
-* an executor (:mod:`repro.fleet.executors`) supplying the device
-  machines - snapshot-forked and recycled, or cold-booted - serially
-  or on a multiprocessing worker pool (``workers`` lanes);
+* a :class:`~repro.fleet.snapshot.DevicePool` supplying the device
+  machines - snapshot-forked and recycled, or cold-booted - stepped
+  in-process, one datagram at a time;
 * a :class:`~repro.fleet.shards.ShardedVerifierService`: device ids
   consistent-hashed onto N verifier shards, each owning its own nonce
   store and quarantine set;
@@ -32,30 +32,28 @@ deadline, sends the tick's challenges as *one* frame batch
 amortized, bit-identical to individual sends), and steps only the
 devices the fabric actually delivered to
 (:meth:`~repro.net.fabric.NetworkFabric.take_touched` - O(active), not
-O(fleet)).  Device compute is charged in *simulated* time - each
-response occupies its executor lane for the cycles the machine's clock
-actually charged, converted to fabric microseconds - so fleet
+O(fleet)).  Device compute is charged in *simulated* time:
+``FleetConfig.workers`` sets K simulated compute lanes
+(``max(1, workers)``), device ``d`` queues on lane ``d % K``, and each
+response occupies its lane for the cycles the machine's clock actually
+charged, converted to fabric microseconds.  So K lanes overlap K
+device computations where one lane must queue them, and fleet
 throughput (reports per simulated second) is deterministic and
-host-independent: a worker pool with K lanes genuinely overlaps K
-device computations where the serial executor must queue them.
+host-independent.  The lanes are a model only:
+every device is stepped on the calling thread.
 
 Everything in the :class:`~repro.fleet.result.FleetResult` is
 reproducible bit-for-bit for a given configuration and seed.
-
-The pre-1.4 kwarg constructor (``Fleet(64, seed=7, loss=0.1)``) still
-works behind a :class:`DeprecationWarning`.
 """
 
 from __future__ import annotations
 
-import warnings
-
 from repro import cycles
-from repro.fleet.config import FleetConfig, ShardConfig, StoreConfig
+from repro.fleet.config import ShardConfig, StoreConfig
 from repro.fleet.device import device_platform_key, expected_fleet_identity
-from repro.fleet.executors import PoolExecutor, SerialExecutor
 from repro.fleet.result import SCHEMA_VERSION, FleetResult
 from repro.fleet.shards import ShardedVerifierService
+from repro.fleet.snapshot import DevicePool
 from repro.fleet.store import AttestationStore
 from repro.net.fabric import FabricProfile, NetworkFabric
 from repro.obs.bus import EventBus
@@ -67,67 +65,11 @@ US_PER_SEC = 1_000_000
 #: cycles each machine *actually* spent.
 _ATTEST_CYCLES = cycles.KEY_DERIVATION + cycles.ATTEST_MAC
 
-#: Legacy kwargs accepted (with a warning) by the pre-1.4 constructor.
-_LEGACY_DEFAULTS = {
-    "seed": 0,
-    "loss": 0.0,
-    "latency_us": 200,
-    "jitter_us": 50,
-    "duplicate": 0.0,
-    "reorder": 0.0,
-    "workers": 4,
-    "rogue": (),
-    "provider": b"",
-    "timeout_us": None,
-    "max_attempts": 8,
-    "max_rejects": 3,
-    "backoff_us": 2_000,
-    "obs_capacity": 65_536,
-}
-
 
 class Fleet:
     """A simulated device fleet under one (sharded) verifier tier."""
 
-    def __init__(self, config=None, *, shards=None, fabric=None, store=None, hz=None, **legacy):
-        if config is None or isinstance(config, int):
-            # Pre-1.4 spelling: Fleet(devices, seed=..., loss=..., ...).
-            warnings.warn(
-                "Fleet(devices, seed=..., loss=...) is deprecated; construct "
-                "with FleetConfig (and FabricProfile/ShardConfig/StoreConfig)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            unknown = set(legacy) - set(_LEGACY_DEFAULTS)
-            if unknown:
-                raise TypeError("unknown Fleet arguments: %s" % sorted(unknown))
-            opts = dict(_LEGACY_DEFAULTS, **legacy)
-            config = FleetConfig(
-                devices=8 if config is None else config,
-                seed=opts["seed"],
-                workers=opts["workers"] or 0,
-                rogue=opts["rogue"],
-                provider=opts["provider"],
-                timeout_us=opts["timeout_us"],
-                max_attempts=opts["max_attempts"],
-                max_rejects=opts["max_rejects"],
-                backoff_us=opts["backoff_us"],
-                obs_capacity=opts["obs_capacity"],
-                **({"hz": hz} if hz is not None else {}),
-            )
-            fabric = FabricProfile(
-                latency_us=opts["latency_us"],
-                jitter_us=opts["jitter_us"],
-                loss=opts["loss"],
-                duplicate=opts["duplicate"],
-                reorder=opts["reorder"],
-            )
-        elif legacy or hz is not None:
-            raise TypeError(
-                "unknown Fleet arguments (protocol and clock knobs belong "
-                "on FleetConfig): %s" % sorted(set(legacy) | ({"hz"} if hz is not None else set()))
-            )
-
+    def __init__(self, config, *, shards=None, fabric=None, store=None):
         self.config = config
         self.shard_config = shards if shards is not None else ShardConfig(1)
         self.profile = fabric if fabric is not None else FabricProfile(jitter_us=50)
@@ -160,7 +102,8 @@ class Fleet:
             self._device_eps[device_id] = self.fabric.attach(address)
             self._device_of_addr[address] = device_id
 
-        lanes = self.workers if self.workers else 1
+        #: Simulated compute lanes (``FleetConfig.workers``, at least one).
+        self.lanes = max(1, self.workers)
         timeout_us = config.timeout_us
         if timeout_us is None:
             # Worst case: a full fleet round queued behind the lanes,
@@ -170,7 +113,7 @@ class Fleet:
             attest_us = self._cycles_to_us(
                 _ATTEST_CYCLES * (2 if config.cfa else 1)
             )
-            per_round = -(-self.devices // lanes) * attest_us
+            per_round = -(-self.devices // self.lanes) * attest_us
             timeout_us = (
                 2 * (self.profile.latency_us + self.profile.jitter_us)
                 + 2 * per_round
@@ -202,27 +145,6 @@ class Fleet:
                     set(settled) & set(range(self.devices))
                 )
 
-        if self.workers:
-            self.executor = PoolExecutor(
-                range(self.devices),
-                fleet_seed=self.seed,
-                rogue=self.rogue,
-                provider=self.provider,
-                workers=self.workers,
-                boot_mode=config.boot_mode,
-                cfa=config.cfa,
-                rogue_mode=config.rogue_mode,
-            )
-        else:
-            self.executor = SerialExecutor(
-                range(self.devices),
-                fleet_seed=self.seed,
-                rogue=self.rogue,
-                provider=self.provider,
-                boot_mode=config.boot_mode,
-                cfa=config.cfa,
-                rogue_mode=config.rogue_mode,
-            )
         self.compute_cycles = 0
         self.responses_sent = 0
 
@@ -250,7 +172,7 @@ class Fleet:
         device_eps = self._device_eps
         device_of_addr = self._device_of_addr
         addr = self._addr
-        lanes = self.executor.lanes
+        lanes = self.lanes
         lane_busy = [0] * lanes
         cycles_to_us = self._cycles_to_us
         self.store.begin_epoch(
@@ -259,7 +181,15 @@ class Fleet:
             devices=self.devices,
             shards=self.shard_config.shards,
         )
-        self.executor.start()
+        config = self.config
+        pool = DevicePool(
+            self.seed,
+            rogue=self.rogue,
+            provider=self.provider,
+            boot_mode=config.boot_mode,
+            cfa=config.cfa,
+            rogue_mode=config.rogue_mode,
+        )
         try:
             while True:
                 # One frame batch per tick: every challenge the verifier
@@ -284,9 +214,8 @@ class Fleet:
                 fabric.advance_to(target)
 
                 # Step only the endpoints the fabric delivered to
-                # (sorted by device id, so the executor batch - and
-                # with it the response RNG draw order - is canonical).
-                batch = []
+                # (sorted by device id, so the response order - and
+                # with it the RNG draw order - is canonical).
                 verifier_traffic = False
                 touched_ids = []
                 for name in fabric.take_touched():
@@ -298,9 +227,7 @@ class Fleet:
                 touched_ids.sort()
                 for device_id in touched_ids:
                     for _, payload in device_eps[device_id].drain():
-                        batch.append((device_id, payload))
-                if batch:
-                    for device_id, response, spent in self.executor.process(batch):
+                        response, spent = pool.handle(device_id, payload)
                         self.compute_cycles += spent
                         if response is None:
                             continue
@@ -318,7 +245,7 @@ class Fleet:
                             device_of_addr.get(source), payload, fabric.now
                         )
         finally:
-            self.executor.close()
+            pool.close()
         health = self.service.report()
         self.store.checkpoint(
             fabric.now,
@@ -349,8 +276,8 @@ class Fleet:
                 "schema": SCHEMA_VERSION,
                 "fleet": dict(
                     self.config.to_dict(),
-                    mode="pool" if self.workers else "serial",
-                    lanes=self.executor.lanes,
+                    mode="serial" if self.lanes == 1 else "pool",
+                    lanes=self.lanes,
                     timeout_us=self.timeout_us,
                 ),
                 "shards": self.shard_config.to_dict(),

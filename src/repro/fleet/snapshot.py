@@ -114,7 +114,7 @@ class DeviceTemplate:
 
 
 class DevicePool:
-    """Per-lane device supply: boot-mode aware, memory-bounded.
+    """The fleet's device supply: boot-mode aware, memory-bounded.
 
     ``boot_mode="snapshot"`` keeps one recycled machine per device
     class (forked from a lazily booted :class:`DeviceTemplate`) and

@@ -7,9 +7,8 @@ monotonic :class:`Counter` or a :class:`HitMissCounter`.  A
 collects them so a single ``snapshot()`` call captures the whole
 machine's counter state for benches, tests, and the summary exporter.
 
-:class:`HitMissCounter` lives here (it used to be
-``repro.perf.counters``; that module now re-exports it) so the perf
-layer and the observability layer share one bookkeeping vocabulary.
+:class:`HitMissCounter` lives here so the perf layer and the
+observability layer share one bookkeeping vocabulary.
 """
 
 from __future__ import annotations

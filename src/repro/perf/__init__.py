@@ -13,7 +13,7 @@ cache structures shared by the CPU, the EA-MPU, and the memory map:
   invalidated by the MPU's epoch counter (bumped on every
   ``program_slot``/``clear_slot``);
 * :class:`~repro.obs.counters.HitMissCounter` - hit/miss/invalidation
-  counters (now part of :mod:`repro.obs`; re-exported here), registered
+  counters (part of :mod:`repro.obs`; re-exported here), registered
   with each platform's ``obs.counters`` registry for tests and benches;
 * :mod:`repro.perf.blocks` / :mod:`repro.perf.translate` - the
   block-translation tier: hot straight-line superblocks compiled to
@@ -34,7 +34,7 @@ caches on or off (``tests/test_perf_equivalence.py`` and
 ``tests/test_perf_blocks.py`` assert this).
 """
 
-from repro.perf.counters import HitMissCounter
+from repro.obs.counters import HitMissCounter
 from repro.perf.decision_cache import MPUDecisionCache
 from repro.perf.insn_cache import DecodedInsnCache
 

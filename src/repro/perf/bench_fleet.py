@@ -1,13 +1,14 @@
 """Fleet attestation throughput bench: lane-scaling sweep.
 
 For each device count the bench runs the identical fleet configuration
-once per worker-lane count (1 lane = the serial executor, then 2- and
-4-lane worker pools) and reports *reports per simulated second*:
+once per simulated compute-lane count (1, 2 and 4 lanes) and reports
+*reports per simulated second*:
 attested devices divided by the fabric time the full round took.
 Device compute is charged in simulated time from each machine's own
 cycle clock, so the headline numbers are deterministic and
 host-independent; host wall-clock is recorded alongside for context
-(it depends on the runner's core count and is **not** gated).
+(every lane count steps its devices on one host core; it is **not**
+gated).
 
 The CI gate (:func:`check_fleet`) asserts the 4-lane run scales at
 least :data:`GATE_SCALING` x *linearly* over the 1-lane run at the
@@ -37,7 +38,7 @@ from repro.net.fabric import FabricProfile
 #: Device counts swept by default (the last one is the gated point).
 DEFAULT_COUNTS = (64, 1024, 10240)
 
-#: Worker-lane counts swept per device count (1 = serial executor).
+#: Simulated compute-lane counts swept per device count.
 DEFAULT_LANES = (1, 2, 4)
 
 #: Verifier shards used for every bench run.
@@ -59,7 +60,7 @@ def bench_one(devices, lanes, seed=7, loss=0.0, shards=DEFAULT_SHARDS):
         FleetConfig(
             devices=devices,
             seed=seed,
-            workers=0 if lanes == 1 else lanes,
+            workers=lanes,
             boot_mode="snapshot",
         ),
         shards=ShardConfig(shards=shards),

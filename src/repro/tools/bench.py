@@ -86,7 +86,7 @@ def build_parser():
     parser.add_argument(
         "--fleet",
         action="store_true",
-        help="run the fleet attestation scaling bench (serial vs. pool)",
+        help="run the fleet attestation lane-scaling bench (1, 2, 4 simulated lanes)",
     )
     parser.add_argument(
         "--fleet-devices",

@@ -4,7 +4,7 @@ Usage::
 
     python -m repro.tools.fleet --devices 10000 --shards 8 --loss 0.1
     python -m repro.tools.fleet --devices 64 --seed 7 --json
-    python -m repro.tools.fleet --devices 16 --rogue 3,9 --serial
+    python -m repro.tools.fleet --devices 16 --rogue 3,9 --workers 0
     python -m repro.tools.fleet --devices 2000 --store run.jsonl --resume
 
 Boots N TyTAN machines - by default *snapshot* boot: one template
@@ -66,11 +66,7 @@ def build_parser():
     parser.add_argument("--seed", type=int, default=0, metavar="S")
     parser.add_argument(
         "--workers", type=int, default=4, metavar="K",
-        help="worker-pool size (default 4)",
-    )
-    parser.add_argument(
-        "--serial", action="store_true",
-        help="step devices in-process instead of using the worker pool",
+        help="simulated compute lanes (default 4)",
     )
     parser.add_argument("--latency-us", type=int, default=200, metavar="US")
     parser.add_argument("--jitter-us", type=int, default=50, metavar="US")
@@ -113,10 +109,9 @@ def _render(result, out):
     health = result["health"]
     fabric = result["fabric"]
     print(
-        "fleet: %d devices, %s mode (%d lanes), %s boot, seed %d"
+        "fleet: %d devices, %d simulated lanes, %s boot, seed %d"
         % (
             fleet["devices"],
-            fleet["mode"],
             fleet["lanes"],
             fleet["boot_mode"],
             fleet["seed"],
@@ -220,7 +215,7 @@ def main(argv=None, out=None):
         FleetConfig(
             devices=args.devices,
             seed=args.seed,
-            workers=0 if args.serial else args.workers,
+            workers=args.workers,
             boot_mode=args.boot_mode,
             rogue=rogue,
             rogue_mode=args.rogue_mode,

@@ -1,5 +1,6 @@
 """Tests for the fleet attestation service (repro.fleet + the NIC)."""
 
+import hashlib
 import io
 import json
 
@@ -207,21 +208,6 @@ class TestVerifierService:
         assert service.handle(0, blob, now=now + 1) == "stale"
         assert service.report()["attested"] == 0
 
-    def test_legacy_kwarg_constructor_warns(self):
-        registry = {0: device_platform_key(0, 0)}
-        with pytest.warns(DeprecationWarning):
-            service = VerifierService(
-                registry,
-                expected_fleet_identity(),
-                b"",
-                timeout_us=2_000,
-                max_attempts=5,
-            )
-        assert service.timeout_us == 2_000
-        assert service.max_attempts == 5
-        [(device_id, _)] = service.poll(now=0)
-        assert device_id == 0
-
     def test_config_plus_legacy_knobs_rejected(self):
         registry = {0: device_platform_key(0, 0)}
         with pytest.raises(TypeError):
@@ -287,14 +273,25 @@ class TestFleetRuns:
         assert len(sharded["health"]["shards"]) == 4
         assert sum(s["total"] for s in sharded["health"]["shards"]) == 12
 
-    def test_pool_matches_serial_outcomes_and_is_faster(self):
+    def test_lanes_match_serial_outcomes_and_are_faster(self):
         serial = make_fleet(4, seed=4).run()
-        pool = make_fleet(4, seed=4, workers=2).run()
-        assert pool["health"]["attested"] == serial["health"]["attested"] == 4
-        assert pool["fleet"]["lanes"] == 2
-        # Two compute lanes overlap device MACs the serial executor
+        two = make_fleet(4, seed=4, workers=2).run()
+        assert two["health"]["attested"] == serial["health"]["attested"] == 4
+        assert (serial["fleet"]["lanes"], serial["fleet"]["mode"]) == (1, "serial")
+        assert (two["fleet"]["lanes"], two["fleet"]["mode"]) == (2, "pool")
+        # Two simulated compute lanes overlap device MACs that one lane
         # must queue, so simulated throughput strictly improves.
-        assert pool["reports_per_sec"] > serial["reports_per_sec"]
+        assert two["reports_per_sec"] > serial["reports_per_sec"]
+
+    def test_one_worker_is_one_lane(self):
+        # workers=1 once passed FleetConfig validation and then failed
+        # in Fleet; it is one simulated lane, like workers=0.
+        zero = make_fleet(6, seed=8, loss=0.2, workers=0).run().to_dict()
+        one = make_fleet(6, seed=8, loss=0.2, workers=1).run().to_dict()
+        for key in ("health", "fabric", "events", "compute", "sim_elapsed_us"):
+            assert one[key] == zero[key], key
+        assert (zero["fleet"].pop("workers"), one["fleet"].pop("workers")) == (0, 1)
+        assert one == zero
 
     def test_cold_and_snapshot_boot_bit_identical(self):
         snap = make_fleet(5, seed=11, loss=0.1, boot_mode="snapshot").run().to_dict()
@@ -310,16 +307,53 @@ class TestFleetRuns:
         with pytest.raises(ConfigurationError):
             make_fleet(2, rogue=(5,))
 
-    def test_legacy_kwarg_constructor_warns_and_runs(self):
-        with pytest.warns(DeprecationWarning):
-            fleet = Fleet(4, seed=1, workers=0)
-        result = fleet.run()
-        assert fleet.healthy(result)
-        assert result["health"]["attested"] == 4
-
     def test_new_path_rejects_legacy_kwargs(self):
         with pytest.raises(TypeError):
             Fleet(FleetConfig(devices=2), loss=0.5)
+
+
+#: sha256 of ``FleetResult.to_json()`` per config.  Every lane count is
+#: pinned: lanes shape simulated time, and the bytes must not depend on
+#: how the host steps the devices.
+GOLDEN_DIGESTS = {
+    0: "77737a45c30d0659fcdebcf1bcf63dd7eb8e5aaaf8870fa3f18d2fb69d14a6af",
+    2: "49fe39f51817bc0af8bc5ae27c8ddf3964a8b878eb458cba4892507bfd2ba560",
+    4: "1f0ccf7d6438b76bcb20b945a9320bb2677db0c524e6730eb03e2cda74d71eeb",
+    "cfa-hijack": "326c7726a8d6c3d32347396765e2844127cb8858a99f514707359761a5d85b6a",
+}
+
+
+def _digest(result):
+    return hashlib.sha256(result.to_json().encode("utf-8")).hexdigest()
+
+
+class TestGoldenDigests:
+    @pytest.mark.parametrize("workers", [0, 2, 4])
+    def test_lossy_sharded_fleet(self, workers):
+        result = make_fleet(24, seed=5, loss=0.1, workers=workers, shards=2).run()
+        assert result["fleet"]["lanes"] == max(1, workers)
+        assert _digest(result) == GOLDEN_DIGESTS[workers]
+
+    def test_cfa_lossy_hijack_fleet_at_four_lanes(self):
+        result = Fleet(
+            FleetConfig(
+                devices=16,
+                seed=3,
+                workers=4,
+                cfa=True,
+                rogue=(5, 11),
+                rogue_mode="hijack",
+            ),
+            shards=ShardConfig(shards=2),
+            fabric=FabricProfile(
+                latency_us=200, jitter_us=50, loss=0.15, duplicate=0.05, reorder=0.05
+            ),
+        ).run()
+        assert result["health"]["quarantined_devices"] == [
+            {"device": 5, "reason": "cfa-hijacked"},
+            {"device": 11, "reason": "cfa-hijacked"},
+        ]
+        assert _digest(result) == GOLDEN_DIGESTS["cfa-hijack"]
 
 
 class TestFleetCli:
@@ -329,7 +363,7 @@ class TestFleetCli:
         return code, out.getvalue()
 
     def test_json_output_deterministic_and_healthy(self):
-        args = ("--devices", "4", "--loss", "0.1", "--seed", "7", "--serial", "--json")
+        args = ("--devices", "4", "--loss", "0.1", "--seed", "7", "--workers", "0", "--json")
         code_a, text_a = self.run_cli(*args)
         code_b, text_b = self.run_cli(*args)
         assert code_a == code_b == 0
@@ -341,7 +375,7 @@ class TestFleetCli:
     def test_sharded_cli_with_store(self, tmp_path):
         path = str(tmp_path / "fleet.jsonl")
         code, text = self.run_cli(
-            "--devices", "8", "--shards", "4", "--serial", "--seed", "3",
+            "--devices", "8", "--shards", "4", "--workers", "0", "--seed", "3",
             "--store", path, "--json",
         )
         assert code == 0
@@ -355,7 +389,7 @@ class TestFleetCli:
         assert kinds.count("attested") == 8
 
     def test_cold_boot_flag_matches_snapshot(self):
-        args = ("--devices", "3", "--serial", "--seed", "2", "--json")
+        args = ("--devices", "3", "--workers", "0", "--seed", "2", "--json")
         _, snap_text = self.run_cli(*args, "--boot-mode", "snapshot")
         _, cold_text = self.run_cli(*args, "--boot-mode", "cold")
         snap, cold = json.loads(snap_text), json.loads(cold_text)
@@ -365,7 +399,7 @@ class TestFleetCli:
 
     def test_human_summary_mentions_quarantine(self):
         code, text = self.run_cli(
-            "--devices", "3", "--seed", "1", "--serial", "--rogue", "1"
+            "--devices", "3", "--seed", "1", "--workers", "0", "--rogue", "1"
         )
         assert code == 0  # quarantining the rogue is a healthy outcome
         assert "quarantined: device 1 (verification-rejected)" in text

@@ -1,4 +1,4 @@
-"""Typed fleet configs, the attestation store, and the legacy shims."""
+"""Typed fleet configs, the attestation store, and fabric construction."""
 
 import json
 import warnings
@@ -133,10 +133,9 @@ class TestFabricShims:
             fabric = NetworkFabric(FabricProfile(latency_us=100), seed=1)
         assert fabric.default_profile.latency_us == 100
 
-    def test_legacy_default_profile_kwarg_warns(self):
-        with pytest.deprecated_call():
-            fabric = NetworkFabric(seed=1, default_profile=FabricProfile(latency_us=9))
-        assert fabric.default_profile.latency_us == 9
+    def test_positional_seed_rejected(self):
+        with pytest.raises(TypeError):
+            NetworkFabric(7)
 
     def test_no_profile_defaults_cleanly(self):
         with warnings.catch_warnings():
