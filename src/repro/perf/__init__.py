@@ -8,6 +8,9 @@ cache structures shared by the CPU, the EA-MPU, and the memory map:
 * :class:`~repro.perf.insn_cache.DecodedInsnCache` - decoded
   instructions keyed by EIP, invalidated when any write (checked or
   raw) lands in a cached code range;
+* :class:`~repro.perf.spans.SpanIndex` - the byte-span write-snoop
+  index the decoded-instruction, block and trace caches share: a write
+  drops exactly the entries whose code bytes it overlaps;
 * :class:`~repro.perf.decision_cache.MPUDecisionCache` - memoized
   EA-MPU *allow* verdicts for data accesses and control transfers,
   invalidated by the MPU's epoch counter (bumped on every

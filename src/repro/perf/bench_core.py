@@ -1,6 +1,6 @@
 """CPU-core throughput bench: baseline / fast path / blocks / traces.
 
-Runs three self-terminating workloads through identically configured
+Runs four self-terminating workloads through identically configured
 rigs (one per mode) and reports wall-clock instructions/sec, the
 speedups, and the cache hit rates:
 
@@ -16,6 +16,12 @@ speedups, and the cache hit rates:
   ticks: blocks may only run inside the event horizon, so this measures
   the tier with real interrupt batching (and proves delivery lands on
   the same instruction boundary in every mode).
+* ``shared`` - a load/increment/store counter loop whose counter word
+  sits in the same 256-byte snoop granule as the loop's code (the rig
+  grants a write rule over that granule for this workload only): every
+  store takes the broadcast write path and is snooped by every code
+  cache, so a cache that drops translations beside the written bytes
+  shows up here as a JIT tier slower than the interpreter.
 
 The modes are ``baseline`` (every cache off), ``fastpath`` (PR 1's
 caches), ``blocks`` (fast path plus the superblock tier, trace JIT
@@ -79,6 +85,7 @@ xor edx, esi
 _ALU_REPEATS = 6
 _ALU_PER_ITER = 8 * _ALU_REPEATS + 2
 _MEM_PER_ITER = 14
+_SHARED_PER_ITER = 5
 
 
 def _alu_source(iterations):
@@ -147,8 +154,31 @@ iret
 """ % (DATA_BASE, _ALU_BLOCK, ticks, DATA_BASE)
 
 
-def build_rig(fastpath, source=None):
-    """Assemble the workload into a CPU+EA-MPU rig; returns the CPU."""
+def _shared_source(iterations):
+    """Counter loop whose counter is the word right after its code."""
+    return """\
+start:
+movi ebx, counter
+movi ecx, %d
+loop:
+ld eax, [ebx+0]
+addi eax, 1
+st [ebx+0], eax
+subi ecx, 1
+jnz loop
+hlt
+.align 4
+counter:
+.word 0
+""" % iterations
+
+
+def build_rig(fastpath, source=None, shared=False):
+    """Assemble the workload into a CPU+EA-MPU rig; returns the CPU.
+
+    ``shared`` grants the code a write rule over the 256-byte granule
+    holding the image's last word (the ``shared`` workload's counter).
+    """
     memory = PhysicalMemory(MemoryMap())
     memory.map.cache_enabled = fastpath
     memory.map.add(RamRegion("idt", IDT_BASE, 0x400))
@@ -202,15 +232,21 @@ def build_rig(fastpath, source=None):
                 entry_point=base,
             ),
         )
+    if shared:
+        granule = (CODE_BASE + len(blob) - 4) & ~0xFF
+        mpu.program_slot(
+            7,
+            MpuRule("bench:shared", code[0], code[1], granule, granule + 0x100, Perm.RW),
+        )
 
     cpu.regs.eip = entry
     cpu.regs.esp = STACK_BASE + 0x1000
     return cpu
 
 
-def _build_mode_rig(source, mode, irq=False):
+def _build_mode_rig(source, mode, irq=False, shared=False):
     """A ``build_rig`` CPU configured for one mode; returns (cpu, timer)."""
-    cpu = build_rig(fastpath=mode != "baseline", source=source)
+    cpu = build_rig(fastpath=mode != "baseline", source=source, shared=shared)
     timer = None
     if irq:
         engine = ExceptionEngine(cpu.memory, IDT_BASE)
@@ -261,6 +297,7 @@ def _snapshot(cpu, timer):
         "gpr": list(cpu.regs.gpr),
         "eip": cpu.regs.eip,
         "eflags": cpu.regs.eflags,
+        "code_sha": hashlib.sha256(memory.read_raw(CODE_BASE, 0x1000)).hexdigest(),
         "data_sha": hashlib.sha256(memory.read_raw(DATA_BASE, 0x1000)).hexdigest(),
         "stack_sha": hashlib.sha256(memory.read_raw(STACK_BASE, 0x1000)).hexdigest(),
         "faults": [str(fault) for fault in memory.mpu.fault_log],
@@ -275,11 +312,13 @@ def _workloads(instructions):
     alu_iters = max(1, instructions // _ALU_PER_ITER)
     mem_iters = max(1, instructions // _MEM_PER_ITER)
     irq_ticks = max(8, instructions // 200)
+    shared_iters = max(1, instructions // _SHARED_PER_ITER)
     return [
         (
             "alu",
             "straight-line ALU loop, EA-MPU live (%d iterations)" % alu_iters,
             _alu_source(alu_iters),
+            False,
             False,
         ),
         (
@@ -288,12 +327,22 @@ def _workloads(instructions):
             % mem_iters,
             _mem_source(mem_iters),
             False,
+            False,
         ),
         (
             "irq",
             "ALU loop under a %d-cycle tick timer (%d ticks)"
             % (IRQ_TICK_PERIOD, irq_ticks),
             _irq_source(irq_ticks),
+            True,
+            False,
+        ),
+        (
+            "shared",
+            "counter loop storing into its own code granule (%d iterations)"
+            % shared_iters,
+            _shared_source(shared_iters),
+            False,
             True,
         ),
     ]
@@ -314,11 +363,11 @@ def run_bench(instructions=150_000, blocks=True, traces=True):
     else:
         modes = MODES
     workloads = {}
-    for name, description, source, irq in _workloads(instructions):
+    for name, description, source, irq, shared in _workloads(instructions):
         reference = None
         entry = {"description": description, "modes": {}}
         for mode in modes:
-            cpu, timer = _build_mode_rig(source, mode, irq=irq)
+            cpu, timer = _build_mode_rig(source, mode, irq=irq, shared=shared)
             seconds = _run(cpu, timer)
             snap = _snapshot(cpu, timer)
             if reference is None:

@@ -24,9 +24,11 @@ or loop head).  Discovery terminates at:
 All hoisted verdicts are valid for exactly one EA-MPU rule-table epoch;
 the :class:`BlockCache` is flushed wholesale when the epoch moves, and
 individual blocks are invalidated by the same write-snoop port the
-decoded-instruction cache uses (page-granular, checked and raw writes
-alike).  Addresses where discovery cannot form a worthwhile block are
-remembered as *no-block markers* so dispatch stays a single dict probe.
+decoded-instruction cache uses (byte-precise over each block's
+``[start, end)`` code span, checked and raw writes alike).  Addresses
+where discovery cannot form a worthwhile block are remembered as
+*no-block markers* so dispatch stays a single dict probe; a marker is
+dropped by any write on the page(s) it spans.
 """
 
 from __future__ import annotations
@@ -36,9 +38,7 @@ from repro.hw.memory import RamRegion
 from repro.isa.encoding import decode
 from repro.isa.opcodes import BASE_CYCLES, CONDITIONAL_BRANCHES, LENGTHS, Op
 from repro.obs.counters import HitMissCounter
-
-#: log2 of the invalidation granule (256-byte pages, like the insn cache).
-PAGE_SHIFT = 8
+from repro.perf.spans import SpanIndex, page_span
 
 #: Longest instruction encoding; discovery reads this many bytes.
 _MAX_INSN_BYTES = max(LENGTHS.values())
@@ -210,14 +210,16 @@ class BlockCache:
     """Entry-EIP -> :class:`SuperBlock`, snooped and epoch-flushed.
 
     Mirrors the decoded-instruction cache's invalidation contract:
-    every bus write (checked or raw) drops the blocks whose span shares
-    a 256-byte page with the written range, and marks them invalid so a
-    block that is *currently executing* aborts at its next store.
+    every bus write (checked or raw) drops the blocks whose code bytes
+    ``[start, end)`` it overlaps (markers: any byte of their pages), and
+    marks them invalid so a block that is *currently executing* aborts
+    at its next store.  ``stats.invalidations`` counts one per entry a
+    write drops, plus one per epoch flush.
     """
 
     def __init__(self):
         self.entries = {}
-        self._pages = {}
+        self._spans = SpanIndex()
         #: Dispatch-miss visit counts (the hot-threshold heuristic).
         self.heat = {}
         #: EA-MPU rule-table epoch the cached blocks were built under
@@ -232,39 +234,24 @@ class BlockCache:
     def put(self, block):
         """Register ``block`` (or marker) for dispatch and snooping."""
         self.entries[block.start] = block
-        pages = self._pages
-        first = block.start >> PAGE_SHIFT
-        last = (block.end - 1) >> PAGE_SHIFT
-        for page in range(first, last + 1):
-            bucket = pages.get(page)
-            if bucket is None:
-                bucket = pages[page] = set()
-            bucket.add(block.start)
+        span = (block.start, block.end)
+        self._spans.add(block.start, (span if block.insns else page_span(*span),))
 
     def note_write(self, address, size):
-        """Snoop a write; drop every block on a touched page."""
-        pages = self._pages
-        if not pages or size <= 0:
-            return
-        first = address >> PAGE_SHIFT
-        last = (address + size - 1) >> PAGE_SHIFT
-        entries = self.entries
-        for page in range(first, last + 1):
-            bucket = pages.pop(page, None)
-            if bucket is None:
-                continue
-            for eip in bucket:
-                block = entries.pop(eip, None)
-                if block is not None:
-                    block.valid = False
-            self.stats.invalidations += 1
+        """Snoop a write; drop every block whose code bytes it overlaps."""
+        dropped = self._spans.take(address, size)
+        if dropped:
+            entries = self.entries
+            for eip in dropped:
+                entries.pop(eip).valid = False
+            self.stats.invalidations += len(dropped)
 
     def flush(self):
         """Drop everything (EA-MPU epoch change)."""
         for block in self.entries.values():
             block.valid = False
         self.entries.clear()
-        self._pages.clear()
+        self._spans.clear()
         self.stats.invalidations += 1
 
     def note_miss(self, eip):

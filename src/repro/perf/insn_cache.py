@@ -6,19 +6,17 @@ decoded object and snoops **every** memory write (checked or raw - both
 funnel through :meth:`repro.hw.memory.PhysicalMemory.write_raw`) so that
 self-modifying code, task loads, and live updates are re-decoded.
 
-Invalidation is page-granular: each cached instruction registers the
-256-byte page(s) its encoding occupies; a write drops every cached
-instruction registered on the pages it touches.  Dropping a superset of
-the strictly affected instructions is always safe - the next fetch just
-decodes again.
+Invalidation is byte-precise: each cached instruction registers the
+span ``[eip, eip + length)`` of its encoding in a
+:class:`~repro.perf.spans.SpanIndex`; a write drops exactly the cached
+instructions whose encoding bytes it overlaps, so stores to data that
+shares a page with code leave the code's decodings cached.
 """
 
 from __future__ import annotations
 
 from repro.obs.counters import HitMissCounter
-
-#: log2 of the invalidation granule (256-byte pages).
-PAGE_SHIFT = 8
+from repro.perf.spans import SpanIndex
 
 
 class DecodedInsnCache:
@@ -28,9 +26,11 @@ class DecodedInsnCache:
     check for its EIP last passed.  While the epoch is unchanged the
     check is provably still an allow, so the CPU skips it entirely; a
     stale epoch forces a re-check (which updates the entry in place).
+
+    ``stats.invalidations`` counts one per instruction a write drops.
     """
 
-    __slots__ = ("stats", "_insns", "_pages")
+    __slots__ = ("stats", "_insns", "_spans")
 
     #: Epoch sentinel for entries cached with no MPU attached; never
     #: equals a real MPU epoch, so attaching an MPU forces re-checks.
@@ -39,8 +39,8 @@ class DecodedInsnCache:
     def __init__(self):
         self.stats = HitMissCounter("insn")
         self._insns = {}
-        #: page index -> set of cached EIPs whose encoding touches it.
-        self._pages = {}
+        #: Encoding byte span of every cached EIP.
+        self._spans = SpanIndex()
 
     def __len__(self):
         return len(self._insns)
@@ -54,37 +54,31 @@ class DecodedInsnCache:
             self.stats.misses += 1
         return entry
 
+    def peek(self, eip):
+        """The cached decoding at ``eip`` or ``None`` (not counted)."""
+        entry = self._insns.get(eip)
+        return entry[0] if entry is not None else None
+
     def put(self, eip, insn, epoch=NO_MPU_EPOCH):
         """Cache ``insn`` as the decoding of the bytes at ``eip``."""
         self._insns[eip] = [insn, epoch]
-        pages = self._pages
-        for page in range(eip >> PAGE_SHIFT, ((eip + insn.length - 1) >> PAGE_SHIFT) + 1):
-            bucket = pages.get(page)
-            if bucket is None:
-                bucket = pages[page] = set()
-            bucket.add(eip)
+        self._spans.add(eip, ((eip, eip + insn.length),))
 
     def note_write(self, address, size):
         """Snoop a write of ``size`` bytes at ``address``.
 
         Wired as a :class:`~repro.hw.memory.PhysicalMemory` write
-        listener; drops every cached instruction on a touched page.
+        listener; drops every cached instruction whose encoding bytes
+        the write overlaps.
         """
-        pages = self._pages
-        if not pages or size <= 0:
-            return
-        first = address >> PAGE_SHIFT
-        last = (address + size - 1) >> PAGE_SHIFT
-        for page in range(first, last + 1):
-            bucket = pages.pop(page, None)
-            if bucket is None:
-                continue
+        dropped = self._spans.take(address, size)
+        if dropped:
             insns = self._insns
-            for eip in bucket:
-                insns.pop(eip, None)
-            self.stats.invalidations += 1
+            for eip in dropped:
+                del insns[eip]
+            self.stats.invalidations += len(dropped)
 
     def clear(self):
         """Drop every cached instruction (keeps the counters)."""
         self._insns.clear()
-        self._pages.clear()
+        self._spans.clear()

@@ -49,12 +49,14 @@ lands on exactly the same instruction boundary as single-stepping (the
 same contract the block tier obeys), while the 400-cycle-tick tail
 that used to single-step now runs at trace speed.
 
-Invalidation mirrors the block cache: page-granular write snooping
-(checked and raw writes alike) plus a wholesale flush when the EA-MPU
-rule-table epoch moves.  A store issued from *inside* a running trace
-that lands in a snooped page takes the broadcast ``write_raw`` path and
-aborts the trace at the next instruction boundary when the trace
-invalidated itself (self-modifying code).
+Invalidation mirrors the block cache: byte-precise write snooping over
+the code bytes of every stitched item (checked and raw writes alike)
+plus a wholesale flush when the EA-MPU rule-table epoch moves.  A store
+issued from *inside* a running trace that lands in a snooped page takes
+the broadcast ``write_raw`` path; the trace aborts at the next
+instruction boundary only when the store overwrote one of its own code
+bytes (self-modifying code) - a store to data beside the code leaves it
+running.
 """
 
 from __future__ import annotations
@@ -63,13 +65,14 @@ from bisect import bisect_right
 
 from repro.analysis.constprop import _FLAG_WRITERS, counted_loop_counter
 from repro.errors import IllegalInstruction
-from repro.hw.memory import SNOOP_PAGE_SHIFT, RamRegion
+from repro.hw.memory import RamRegion
 from repro.isa.encoding import decode
 from repro.isa.opcodes import BASE_CYCLES, CONDITIONAL_BRANCHES, LENGTHS, Op
 from repro.cycles import CFA_EDGE_CYCLES, INSN_BRANCH_TAKEN
-from repro.perf.blocks import ALU_OPS, MEM_OPS, PAGE_SHIFT, discover
+from repro.perf.blocks import ALU_OPS, MEM_OPS, discover
 from repro.obs.counters import HitMissCounter
 from repro.perf.counters import TraceCounters
+from repro.perf.spans import SpanIndex, page_span
 
 _M = 0xFFFFFFFF
 _SIGN = 0x80000000
@@ -141,7 +144,7 @@ class Trace:
         "counter_reg",
         "windows",
         "windows2",
-        "pages",
+        "spans",
         "valid",
         "run",
         "run_fast",
@@ -172,8 +175,9 @@ class Trace:
         #: and stack, say) hits slab speed on both instead of thrashing
         #: the single slot into a slow call every iteration.
         self.windows2 = []
-        #: Snoop pages spanned by the trace's code bytes.
-        self.pages = frozenset()
+        #: Code byte spans ``(lo, hi)`` of the stitched items (a marker
+        #: spans its head's whole page).
+        self.spans = ()
         #: Cleared by the write snoop; checked after broadcast stores.
         self.valid = True
         #: Compiled ``__trace__(cpu, tr, n)`` (``None`` = marker).
@@ -210,28 +214,33 @@ class Trace:
         )
 
 
-def _trace_pages(items):
-    """Snoop pages covered by the trace's instruction bytes."""
-    pages = set()
+def _trace_spans(items):
+    """The stitched items' code bytes, adjacent items merged."""
+    spans = []
     for item in items:
-        address = item[1]
-        last = (address + item[2].length - 1) >> PAGE_SHIFT
-        pages.update(range(address >> PAGE_SHIFT, last + 1))
-    return frozenset(pages)
+        lo = item[1]
+        hi = lo + item[2].length
+        if spans and spans[-1][1] == lo:
+            spans[-1] = (spans[-1][0], hi)
+        else:
+            spans.append((lo, hi))
+    return tuple(spans)
 
 
 class TraceCache:
     """Entry-EIP -> :class:`Trace`, snooped and epoch-flushed.
 
     Same invalidation contract as the block cache: every bus write
-    (checked or raw) drops the traces whose code bytes share a 256-byte
-    page with the written range and marks them invalid so a trace that
-    is *currently executing* aborts after its next broadcast store.
+    (checked or raw) drops the traces whose :attr:`Trace.spans` it
+    overlaps and marks them invalid so a trace that is *currently
+    executing* aborts after its next broadcast store.
+    ``stats.invalidations`` counts one per entry a write drops, plus
+    one per epoch flush.
     """
 
     def __init__(self):
         self.entries = {}
-        self._pages = {}
+        self._spans = SpanIndex()
         #: EA-MPU rule-table epoch the cached traces were built under.
         self.epoch = None
         self.stats = HitMissCounter("trace")
@@ -242,37 +251,23 @@ class TraceCache:
     def put(self, trace):
         """Register ``trace`` (or marker) for dispatch and snooping."""
         self.entries[trace.start] = trace
-        pages = self._pages
-        for page in trace.pages:
-            bucket = pages.get(page)
-            if bucket is None:
-                bucket = pages[page] = set()
-            bucket.add(trace.start)
+        self._spans.add(trace.start, trace.spans)
 
     def note_write(self, address, size):
-        """Snoop a write; drop every trace on a touched page."""
-        pages = self._pages
-        if not pages or size <= 0:
-            return
-        first = address >> PAGE_SHIFT
-        last = (address + size - 1) >> PAGE_SHIFT
-        entries = self.entries
-        for page in range(first, last + 1):
-            bucket = pages.pop(page, None)
-            if bucket is None:
-                continue
-            for eip in bucket:
-                trace = entries.pop(eip, None)
-                if trace is not None:
-                    trace.valid = False
-            self.stats.invalidations += 1
+        """Snoop a write; drop every trace whose code bytes it overlaps."""
+        dropped = self._spans.take(address, size)
+        if dropped:
+            entries = self.entries
+            for eip in dropped:
+                entries.pop(eip).valid = False
+            self.stats.invalidations += len(dropped)
 
     def flush(self):
         """Drop everything (EA-MPU epoch change)."""
         for trace in self.entries.values():
             trace.valid = False
         self.entries.clear()
-        self._pages.clear()
+        self._spans.clear()
         self.stats.invalidations += 1
 
 
@@ -422,7 +417,7 @@ def build_trace(memory, head, profile, cfa=None):
                 cost += CFA_EDGE_CYCLES
     trace.iter_cost = cost
     trace.iter_retire = retire
-    trace.pages = _trace_pages(items)
+    trace.spans = _trace_spans(items)
     if looping and items[-1][0] == "guard" and items[-1][3]:
         body = items[:-1]
         if all(item[0] == "insn" for item in body):
@@ -1889,15 +1884,14 @@ class TraceJIT:
             # Remember the refusal, but snoop the head's page so the
             # marker drops when the code there changes.
             marker = Trace(eip, (), False, None)
-            marker.pages = frozenset({eip >> PAGE_SHIFT})
+            marker.spans = (page_span(eip, eip + 1),)
             cache.put(marker)
-            memory.snooped_pages.add(eip >> SNOOP_PAGE_SHIFT)
+            memory.note_snooped_range(*marker.spans[0])
             return
         translate_trace(trace, self.counters)
         cache.put(trace)
-        # Block-cache pages and memory snoop pages share the 256-byte
-        # granule, so the page sets interchange directly.
-        memory.snooped_pages.update(trace.pages)
+        for lo, hi in trace.spans:
+            memory.note_snooped_range(lo, hi)
         self.counters.compiles.add()
         obs = self.engine.obs
         if obs is not None:

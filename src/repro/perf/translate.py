@@ -44,7 +44,7 @@ from __future__ import annotations
 from repro.hw.memory import RamRegion
 from repro.isa.opcodes import BASE_CYCLES, Op
 from repro.obs.counters import Counter
-from repro.perf.blocks import ALU_OPS, MEM_OPS, BlockCache, discover
+from repro.perf.blocks import ALU_OPS, MEM_OPS, TRANSLATABLE_OPS, BlockCache, discover
 from repro.perf.traces import TraceJIT
 
 _M = 0xFFFFFFFF
@@ -648,6 +648,8 @@ class BlockEngine:
         #: pending, or ``None`` for "no scheduled events".
         self.horizon = horizon
         self.cache = BlockCache()
+        #: The CPU's decoded-instruction cache (``None`` with fastpath off).
+        self.decoded = cpu.insn_cache
         #: Observability bus (optional); block lifecycle events publish
         #: under the diagnostic ``perf`` source, which equivalence
         #: comparisons exclude (it only exists when blocks are on).
@@ -736,6 +738,14 @@ class BlockEngine:
         stats = cache.stats
         if block is None:
             stats.misses += 1
+            if self.decoded is not None:
+                insn = self.decoded.peek(eip)
+                if insn is not None and insn.opcode not in TRANSLATABLE_OPS:
+                    # No block can start on an untranslatable opcode.
+                    # The decoded-instruction cache answers that byte-
+                    # precisely, where a no-block marker would be dropped
+                    # by any store on its page and rediscovered.
+                    return None
             if not cache.note_miss(eip):
                 return None
             block = discover(memory, eip)

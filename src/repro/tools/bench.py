@@ -11,14 +11,15 @@ Usage::
     python -m repro.tools.bench --cfa         # CFA recording overhead
 
 The throughput mode runs the CPU bench (:mod:`repro.perf.bench_core`):
-three workloads (alu / mem / irq), each in baseline, fast-path,
+four workloads (alu / mem / irq / shared), each in baseline, fast-path,
 block-translation, and trace-JIT mode, appending to the run history in
 ``BENCH_cpu_core.json``.  ``--no-blocks`` skips both JIT tiers and
 ``--no-traces`` skips just the trace JIT (the ablation modes CI runs);
 ``--check`` turns the run into a CI gate that fails when a JIT tier
 regresses - blocks vs. fastpath on every workload, traces vs. blocks
 on alu/mem, traces at least 2x blocks on irq (horizon-split prefix
-admission), traces vs. fastpath on irq (the architectural-equivalence
+admission), traces vs. fastpath on irq and on shared (stores into the
+code's own snoop granule; the architectural-equivalence
 check is always on: any divergence between modes raises before a
 report is written).  Gate runs never append to the report history;
 ``--no-record`` requests the same for a plain run.
@@ -139,6 +140,7 @@ _THROUGHPUT_GATES = (
     ("traces_vs_blocks", 1.0, ("alu", "mem")),
     ("traces_vs_blocks", 2.0, ("irq",)),
     ("traces_vs_fastpath", 1.0, ("irq",)),
+    ("traces_vs_fastpath", 1.0, ("shared",)),
 )
 
 

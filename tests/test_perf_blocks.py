@@ -18,6 +18,9 @@ from repro.isa.opcodes import Op
 from repro.perf.bench_core import (
     DATA_BASE,
     STACK_BASE,
+    _build_mode_rig,
+    _run,
+    _shared_source,
     build_rig,
     run_bench,
     write_report,
@@ -27,6 +30,7 @@ from repro.perf.blocks import (
     MAX_BLOCK_INSNS,
     MIN_BLOCK_INSNS,
     BlockCache,
+    SuperBlock,
     discover,
 )
 
@@ -298,6 +302,66 @@ class TestCacheMechanics:
         assert victim.start not in cache.entries
         assert not victim.valid
 
+    @staticmethod
+    def _block(start, end):
+        return SuperBlock(start, end, ((start, None),), 1)
+
+    def test_write_just_past_block_keeps_it(self):
+        cache = BlockCache()
+        block = self._block(0x1010, 0x1020)
+        cache.put(block)
+        cache.note_write(0x1020, 4)
+        cache.note_write(0x100C, 4)
+        assert cache.entries[0x1010] is block
+        assert block.valid
+        assert cache.stats.invalidations == 0
+
+    def test_write_on_last_byte_drops_block(self):
+        cache = BlockCache()
+        block = self._block(0x1010, 0x1020)
+        cache.put(block)
+        cache.note_write(0x101F, 1)
+        assert 0x1010 not in cache.entries
+        assert not block.valid
+        assert cache.stats.invalidations == 1
+
+    def test_marker_dropped_by_any_write_on_its_page(self):
+        cache = BlockCache()
+        marker = SuperBlock(0x1010, 0x1011, (), 0)
+        cache.put(marker)
+        cache.note_write(0x1100, 4)  # next page: kept
+        assert cache.entries[0x1010] is marker
+        cache.note_write(0x10FC, 4)  # far from its bytes, same page
+        assert 0x1010 not in cache.entries
+
+    def test_reput_leaves_no_stale_span(self):
+        cache = BlockCache()
+        cache.put(self._block(0x10F0, 0x1110))  # spans two pages
+        short = self._block(0x10F0, 0x1100)
+        cache.put(short)
+        cache.note_write(0x1104, 4)  # only the old block's second page
+        assert cache.entries[0x10F0] is short
+        assert short.valid
+        cache.note_write(0x10FF, 1)
+        assert 0x10F0 not in cache.entries
+        assert not short.valid
+        long = self._block(0x10F0, 0x1110)
+        cache.put(long)
+        cache.note_write(0x110F, 1)  # the new block's second page
+        assert 0x10F0 not in cache.entries
+        assert not long.valid
+
+    def test_store_beside_code_keeps_block(self):
+        # The bench's ``shared`` loop stores into its own code granule:
+        # one translation serves every iteration.
+        cpu, timer = _build_mode_rig(_shared_source(200), "blocks", shared=True)
+        _run(cpu, timer)
+        snap = cpu.block_engine.snapshot()
+        assert snap["translations"] == 1
+        assert snap["invalidations"] == 0
+        # Every iteration but the ones that heated the loop head.
+        assert snap["executions"] == 200 - (HOT_THRESHOLD - 1)
+
     def test_epoch_flush_on_mpu_reprogram(self):
         from repro.hw.ea_mpu import MpuRule, Perm
 
@@ -337,7 +401,7 @@ class TestHorizon:
 class TestBench:
     def test_run_bench_all_modes_equivalent(self):
         result = run_bench(instructions=2_000)
-        assert set(result["workloads"]) == {"alu", "mem", "irq"}
+        assert set(result["workloads"]) == {"alu", "mem", "irq", "shared"}
         for entry in result["workloads"].values():
             assert set(entry["modes"]) == {
                 "baseline",

@@ -114,6 +114,75 @@ class TestDecodedInsnCache:
         assert cpu.insn_cache.stats.invalidations > 0
 
 
+class TestByteSpanSnoop:
+    """A write drops exactly the decodings whose encoding bytes it overlaps."""
+
+    def _cached(self):
+        cpu, _ = make_cpu("movi ebx, 5\nhlt")
+        entry = cpu.regs.eip
+        run_until_halt(cpu)
+        cache = cpu.insn_cache
+        movi = cache.peek(entry)
+        hlt = cache.peek(entry + movi.length)
+        assert movi is not None and hlt is not None
+        return cache, entry, movi, hlt
+
+    def test_write_just_past_encoding_keeps_it(self):
+        cache, entry, movi, _ = self._cached()
+        end = entry + movi.length
+        assert end >> 8 == entry >> 8
+        # The byte past movi is hlt's opcode: only hlt is dropped.
+        cache.note_write(end, 1)
+        assert cache.peek(entry) is movi
+        assert cache.peek(end) is None
+        assert cache.stats.invalidations == 1
+
+    def test_write_on_last_byte_drops_it(self):
+        cache, entry, movi, hlt = self._cached()
+        cache.note_write(entry + movi.length - 1, 1)
+        assert cache.peek(entry) is None
+        assert cache.peek(entry + movi.length) is hlt
+        assert cache.stats.invalidations == 1
+
+    def test_reput_leaves_no_stale_span(self):
+        cache, entry, movi, hlt = self._cached()
+        # Re-put the shorter hlt decoding at movi's EIP: movi's tail
+        # bytes no longer back anything cached there.
+        cache.put(entry, hlt)
+        cache.note_write(entry + movi.length - 1, 1)
+        assert cache.peek(entry) is hlt
+        cache.note_write(entry, 1)
+        assert cache.peek(entry) is None
+        # And the other way round: the longer span is snooped in full.
+        cache.put(entry, movi)
+        cache.note_write(entry + movi.length - 1, 1)
+        assert cache.peek(entry) is None
+
+    def test_store_beside_code_keeps_decodings(self):
+        # The counter word shares the loop's 256-byte page: each store
+        # lands beside the code, never on it.
+        cpu, labels = make_cpu(
+            "movi ebx, counter\n"
+            "movi ecx, 40\n"
+            "loop:\n"
+            "ld eax, [ebx+0]\n"
+            "addi eax, 1\n"
+            "st [ebx+0], eax\n"
+            "subi ecx, 1\n"
+            "jnz loop\n"
+            "hlt\n"
+            ".align 4\n"
+            "counter:\n"
+            ".word 0"
+        )
+        assert labels["counter"] >> 8 == labels["loop"] >> 8
+        run_until_halt(cpu)
+        assert cpu.regs.read(Reg.EAX) == 40
+        stats = cpu.insn_cache.stats
+        assert stats.invalidations == 0
+        assert stats.misses == len(cpu.insn_cache)
+
+
 class TestDecisionCacheInvalidation:
     DATA = (0x6000, 0x6100)
 

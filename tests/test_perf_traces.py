@@ -11,15 +11,20 @@ traces, and the trace counters land on the platform's obs registry.
 
 import pytest
 
+from repro.core.system import build_freertos_baseline
 from repro.hw.platform import MachineConfig, Platform
+from repro.image.linker import link
+from repro.isa.assembler import assemble
 from repro.perf.bench_core import (
+    CODE_BASE,
     DATA_BASE,
     _build_mode_rig,
     _irq_source,
     _run,
+    _shared_source,
     _snapshot,
 )
-from repro.perf.traces import TRACE_HOT_EDGE, build_trace, EdgeProfile
+from repro.perf.traces import TRACE_HOT_EDGE, Trace, TraceCache, build_trace, EdgeProfile
 
 #: A loop whose conditional branch flips direction partway through:
 #: ``jl skip`` is taken for the first 20 iterations and falls through
@@ -69,6 +74,39 @@ loop:
 patch:
     addi eax, 1
     addi edx, 3
+    subi ecx, 1
+    jnz loop
+    hlt
+"""
+
+
+#: Two equal-priority spinners whose counter sits in the same 256-byte
+#: snoop granule as their code (every store lands beside the loop).
+_SPIN_SOURCE = """
+.global start
+start:
+    movi esi, c
+again:
+    ld eax, [esi]
+    addi eax, 1
+    st [esi], eax
+    jmp again
+.section .data
+c:
+    .word 0
+"""
+
+#: The counted loop, placed so its body straddles the 0x1100 page
+#: boundary (``start`` is 11 bytes, so ``loop`` lands at 0x10F4).
+_TWO_PAGE_SOURCE = """\
+start:
+    movi ecx, 500
+    jmp loop
+    .space 233
+loop:
+    addi eax, 3
+    xori edx, 0x0F0F
+    add esi, eax
     subi ecx, 1
     jnz loop
     hlt
@@ -225,6 +263,100 @@ class TestSelfModification:
         cache.note_write(victim.start, 1)
         assert victim.start not in cache.entries
         assert not victim.valid
+
+
+class TestByteSpanSnoop:
+    """A write drops exactly the traces whose code bytes it overlaps."""
+
+    @staticmethod
+    def _traced(source, **rig):
+        cpu, timer = _build_mode_rig(source, "traces", **rig)
+        _run(cpu, timer)
+        cache = cpu.block_engine.traces.cache
+        traces = [t for t in cache.entries.values() if t.run is not None]
+        assert len(traces) == 1
+        return cpu, cache, traces[0]
+
+    @staticmethod
+    def _trace(start, spans):
+        trace = Trace(start, (("insn", start, None),), False, None)
+        trace.spans = spans
+        return trace
+
+    def test_write_just_past_last_code_byte_keeps_trace(self):
+        _, cache, trace = self._traced(_shared_source(100), shared=True)
+        end = trace.spans[-1][1]
+        assert end >> 8 == trace.start >> 8
+        cache.note_write(end, 1)
+        assert cache.entries[trace.start] is trace
+        assert trace.valid
+
+    def test_write_on_last_code_byte_drops_trace(self):
+        _, cache, trace = self._traced(_shared_source(100), shared=True)
+        before = cache.stats.invalidations
+        cache.note_write(trace.spans[-1][1] - 1, 1)
+        assert trace.start not in cache.entries
+        assert not trace.valid
+        assert cache.stats.invalidations == before + 1
+
+    def test_store_beside_code_keeps_trace(self):
+        cpu, cache, trace = self._traced(_shared_source(2_000), shared=True)
+        assert cpu.regs.gpr[0] == 2_000
+        assert cache.stats.invalidations == 0
+        assert _trace_stats(cpu)["compiles"] == 1
+
+    def test_two_page_trace_dropped_from_second_page(self):
+        _, cache, trace = self._traced(_TWO_PAGE_SOURCE)
+        assert trace.start == CODE_BASE + 0xF4
+        last = trace.spans[-1][1] - 1
+        assert last >> 8 == (trace.start >> 8) + 1
+        cache.note_write(last - 4, 1)
+        assert trace.start not in cache.entries
+        assert not trace.valid
+
+    def test_marker_dropped_by_any_write_on_its_page(self):
+        cpu, cache, trace = self._traced(_COUNTED_SOURCE)
+        hlt = trace.spans[-1][1]
+        jit = cpu.block_engine.traces
+        jit.maybe_build(hlt)
+        marker = cache.entries[hlt]
+        assert marker.is_marker()
+        cache.note_write((hlt | 0xFF) + 1, 4)  # next page: kept
+        assert cache.entries[hlt] is marker
+        cache.note_write(hlt | 0xFC, 4)  # far from the head, same page
+        assert hlt not in cache.entries
+        assert cache.entries[trace.start] is trace
+
+    def test_reput_leaves_no_stale_span(self):
+        cache = TraceCache()
+        cache.put(self._trace(0x10F0, ((0x10F0, 0x1100), (0x1180, 0x1190))))
+        short = self._trace(0x10F0, ((0x10F0, 0x1100),))
+        cache.put(short)
+        cache.note_write(0x1180, 4)  # only the old trace's second page
+        assert cache.entries[0x10F0] is short
+        assert short.valid
+        cache.note_write(0x10FF, 1)
+        assert 0x10F0 not in cache.entries
+        assert not short.valid
+        long = self._trace(0x10F0, ((0x10F0, 0x1100), (0x1180, 0x1190)))
+        cache.put(long)
+        cache.note_write(0x118F, 1)  # the new trace's second page
+        assert 0x10F0 not in cache.entries
+        assert not long.valid
+
+    def test_shared_page_spinners_compile_few_traces(self):
+        # The round-robin kernel from the rtos edge tests: two spinners
+        # whose counter shares their code granule.  Page-granular
+        # snooping dropped the issuing trace on every store (~7800
+        # compiles in these 80k cycles).
+        platform, kernel, loader = build_freertos_baseline()
+        for name in ("a", "b"):
+            image = link(assemble(_SPIN_SOURCE, name), name=name, stack_size=256)
+            loader.load_synchronously(image, secure=False, name=name)
+        kernel.run(max_cycles=80_000)
+        assert not kernel.faulted
+        compiles = _trace_stats(platform.cpu)["compiles"]
+        assert 1 <= compiles <= 4
 
 
 class TestCacheLifecycle:

@@ -9,6 +9,12 @@ the block tier's own ``perf``-source lifecycle events) must be
 bit-for-bit identical: interrupts must land on exactly the same
 instruction boundary whether execution single-steps or runs
 horizon-admitted superblocks.
+
+The data pointer is drawn from two layouts: a page of its own
+(``base + 0x4000``) or the first word-aligned address past the
+program's code, inside the code's last 256-byte snoop granule - so
+the random loads and stores land beside live code, and the code
+caches' byte-precise write snooping is exercised on every store.
 """
 
 from hypothesis import example, given, settings, strategies as st
@@ -46,8 +52,15 @@ _insn = st.one_of(
 )
 
 
+#: Data pointer operand for the beside-code layout: a label placed at
+#: the first word-aligned address past the program's code.
+IN_CODE = "data"
+
+
 def _program(body, iterations, data_base):
-    lines = ["start:", "movi ebx, %d" % data_base, "movi ecx, %d" % iterations, "sti", "loop:"]
+    """The test program; ``data_base`` is an address or :data:`IN_CODE`."""
+    data = data_base if data_base == IN_CODE else "%d" % data_base
+    lines = ["start:", "movi ebx, %s" % data, "movi ecx, %d" % iterations, "sti", "loop:"]
     lines.extend(body)
     lines.extend(["subi ecx, 1", "jnz loop", "cli", "hlt"])
     lines.extend(
@@ -55,7 +68,7 @@ def _program(body, iterations, data_base):
             "irq_handler:",
             "push eax",
             "push ebx",
-            "movi ebx, %d" % data_base,
+            "movi ebx, %s" % data,
             "ld eax, [ebx+248]",
             "addi eax, 1",
             "st [ebx+248], eax",
@@ -64,7 +77,14 @@ def _program(body, iterations, data_base):
             "iret",
         ]
     )
+    if data_base == IN_CODE:
+        lines.extend([".align 4", "%s:" % IN_CODE])
     return "\n".join(lines) + "\n"
+
+
+#: Loop body that patches itself: ``loop`` is the ``movi``, so
+#: ``[edi+8]`` is the low immediate byte of ``addi edx, 1``.
+SMC_BODY = ["movi edi, loop", "addi edx, 1", "stb eax, [edi+8]", "addi eax, 3"]
 
 
 def _run(source, blocks, tick_period, traces=True):
@@ -72,7 +92,6 @@ def _run(source, blocks, tick_period, traces=True):
         MachineConfig(blocks=blocks, traces=traces, tick_period=tick_period)
     )
     base = platform.config.task_ram_base
-    data_base = base + 0x4000
     image = link(assemble(source), stack_size=64)
     handler = base + link(assemble(source), entry_symbol="irq_handler", stack_size=64).entry
     blob = bytearray(image.blob)
@@ -93,7 +112,8 @@ def _run(source, blocks, tick_period, traces=True):
         "gpr": list(cpu.regs.gpr),
         "eip": cpu.regs.eip,
         "eflags": cpu.regs.eflags,
-        "data": platform.memory.read_raw(data_base, 0x100),
+        # Code and both data layouts (``base + 0x4000`` and beside code).
+        "memory": platform.memory.read_raw(base, 0x4100),
         "ticks": platform.tick_timer.ticks,
         "events": [
             event.to_dict()
@@ -108,6 +128,7 @@ def _run(source, blocks, tick_period, traces=True):
     body=st.lists(_insn, min_size=4, max_size=24),
     iterations=st.integers(min_value=2, max_value=40),
     tick_period=st.integers(min_value=60, max_value=3000),
+    in_code=st.booleans(),
 )
 # Regression: a flag-live shri over a folded add chain once compiled to
 # ``X & 4294967295 >> 24`` - Python precedence rebinds that to a mask
@@ -124,9 +145,13 @@ def _run(source, blocks, tick_period, traces=True):
     ],
     iterations=24,
     tick_period=60,
+    in_code=False,
 )
-def test_blocks_invisible_under_random_irqs(body, iterations, tick_period):
-    source = _program(body, iterations, 0x0010_4000)
+# True self-modifying code: each iteration's ``stb`` rewrites the
+# immediate of the live ``addi edx, 1`` two instructions back.
+@example(body=SMC_BODY, iterations=30, tick_period=60, in_code=True)
+def test_blocks_invisible_under_random_irqs(body, iterations, tick_period, in_code):
+    source = _program(body, iterations, IN_CODE if in_code else 0x0010_4000)
     plain = _run(source, blocks=False, tick_period=tick_period)
     blocked = _run(source, blocks=True, tick_period=tick_period)
     assert plain == blocked
@@ -141,6 +166,7 @@ def test_blocks_invisible_under_random_irqs(body, iterations, tick_period):
     body=st.lists(_insn, min_size=4, max_size=24),
     iterations=st.integers(min_value=2, max_value=40),
     tick_period=st.integers(min_value=60, max_value=3000),
+    in_code=st.booleans(),
 )
 # Regression: a closed-form loop whose body folds away entirely once
 # compiled to a ``for`` with no statements under it.
@@ -148,6 +174,7 @@ def test_blocks_invisible_under_random_irqs(body, iterations, tick_period):
     body=["not eax", "addi eax, 0", "addi eax, 0", "not eax"],
     iterations=10,
     tick_period=60,
+    in_code=False,
 )
 # Regression: an IRQ returning onto the loop's ``jnz`` after the final
 # decrement made a trace anchored there fail its first guard and charge
@@ -165,13 +192,17 @@ def test_blocks_invisible_under_random_irqs(body, iterations, tick_period):
     ],
     iterations=13,
     tick_period=60,
+    in_code=False,
 )
-def test_traces_invisible_under_random_irqs(body, iterations, tick_period):
+# True self-modifying code: each iteration's ``stb`` rewrites the
+# immediate of the live ``addi edx, 1`` two instructions back.
+@example(body=SMC_BODY, iterations=30, tick_period=60, in_code=True)
+def test_traces_invisible_under_random_irqs(body, iterations, tick_period, in_code):
     """The trace JIT is architecturally invisible: traces-on vs
     traces-off (block tier in both) agree on every final-state field
     and on the whole event stream - so every interrupt was delivered
     on exactly the same instruction boundary."""
-    source = _program(body, iterations, 0x0010_4000)
+    source = _program(body, iterations, IN_CODE if in_code else 0x0010_4000)
     ablated = _run(source, blocks=True, tick_period=tick_period, traces=False)
     traced = _run(source, blocks=True, tick_period=tick_period, traces=True)
     assert ablated == traced
