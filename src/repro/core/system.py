@@ -19,6 +19,8 @@ the paper is measured against.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from repro.hw.exceptions import Vector
 from repro.hw.platform import MachineConfig, Platform
 from repro.isa.assembler import assemble
@@ -38,14 +40,21 @@ from repro.core.secure_storage import SecureStorage
 VECTOR_IPC_SYNC = 0x24
 
 
+@lru_cache(maxsize=64)
+def _component_page(name, size):
+    """Deterministic pseudo-binary contents of a component page.
+
+    Built once per ``(name, size)``: every boot (and every fleet
+    template boot) measures the same bytes.
+    """
+    seed = name.encode("utf-8")
+    return bytes((seed[index % len(seed)] + index * 131) & 0xFF for index in range(size))
+
+
 def _fill_component_page(platform, component):
     """Give a component page deterministic pseudo-binary contents so
     secure boot has real bytes to measure."""
-    seed = component.NAME.encode("utf-8")
-    page = bytearray(component.size)
-    for index in range(component.size):
-        page[index] = (seed[index % len(seed)] + index * 131) & 0xFF
-    platform.memory.write_raw(component.base, bytes(page))
+    platform.memory.write_raw(component.base, _component_page(component.NAME, component.size))
 
 
 class TyTAN:

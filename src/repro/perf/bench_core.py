@@ -1,6 +1,6 @@
 """CPU-core throughput bench: baseline / fast path / blocks / traces.
 
-Runs four self-terminating workloads through identically configured
+Runs five self-terminating workloads through identically configured
 rigs (one per mode) and reports wall-clock instructions/sec, the
 speedups, and the cache hit rates:
 
@@ -22,6 +22,10 @@ speedups, and the cache hit rates:
   store takes the broadcast write path and is snooped by every code
   cache, so a cache that drops translations beside the written bytes
   shows up here as a JIT tier slower than the interpreter.
+* ``call`` - a loop whose body calls a three-instruction leaf: only
+  the leaf forms a block, and the call, return, and countdown stay in
+  the interpreter unless the trace tier stitches ``call`` and guards
+  ``ret``.
 
 The modes are ``baseline`` (every cache off), ``fastpath`` (PR 1's
 caches), ``blocks`` (fast path plus the superblock tier, trace JIT
@@ -29,7 +33,8 @@ ablated), and ``traces`` (the full stack with the trace-recording
 JIT).  All runs of one workload must be *architecturally identical* - same
 retired count, same simulated cycles, same registers, memory, fault
 log, and timer ticks - which the bench asserts before reporting
-numbers.
+numbers.  Each JIT mode also reports which tier retired the
+instructions (``retired_share``: trace / block / interpreter).
 
 Reports are cumulative: ``BENCH_cpu_core.json`` keeps a timestamped
 ``history`` list so the performance trajectory is tracked from PR to
@@ -86,6 +91,7 @@ _ALU_REPEATS = 6
 _ALU_PER_ITER = 8 * _ALU_REPEATS + 2
 _MEM_PER_ITER = 14
 _SHARED_PER_ITER = 5
+_CALL_PER_ITER = 7
 
 
 def _alu_source(iterations):
@@ -170,6 +176,24 @@ hlt
 .align 4
 counter:
 .word 0
+""" % iterations
+
+
+def _call_source(iterations):
+    """Leaf-call loop: ``call``, three ALU ops, ``ret``, countdown."""
+    return """\
+start:
+movi ecx, %d
+loop:
+call work
+subi ecx, 1
+jnz loop
+hlt
+work:
+addi eax, 7
+xori ebx, 0x55AA
+add edx, eax
+ret
 """ % iterations
 
 
@@ -313,6 +337,7 @@ def _workloads(instructions):
     mem_iters = max(1, instructions // _MEM_PER_ITER)
     irq_ticks = max(8, instructions // 200)
     shared_iters = max(1, instructions // _SHARED_PER_ITER)
+    call_iters = max(1, instructions // _CALL_PER_ITER)
     return [
         (
             "alu",
@@ -344,6 +369,13 @@ def _workloads(instructions):
             _shared_source(shared_iters),
             False,
             True,
+        ),
+        (
+            "call",
+            "loop calling a three-instruction leaf (%d iterations)" % call_iters,
+            _call_source(call_iters),
+            False,
+            False,
         ),
     ]
 
@@ -386,6 +418,12 @@ def run_bench(instructions=150_000, blocks=True, traces=True):
             }
             if mode != "baseline":
                 result["cache_stats"] = cpu.cache_stats()
+            if cpu.block_engine is not None:
+                retired = result["cache_stats"]["block"]["retired"]
+                result["retired_share"] = {
+                    tier: round(count / snap["retired"], 4)
+                    for tier, count in retired.items()
+                }
             entry["modes"][mode] = result
         entry["retired"] = reference[1]["retired"]
         entry["simulated_cycles"] = reference[1]["cycles"]
@@ -679,6 +717,20 @@ def write_report(
                 )
             line += " insns/sec"
             print(line, file=out)
+            for mode in ("blocks", "traces"):
+                if mode in per:
+                    share = per[mode]["retired_share"]
+                    print(
+                        "  %-6s retired by tier: trace %5.1f%%, block %5.1f%%,"
+                        " interpreter %5.1f%%"
+                        % (
+                            mode,
+                            100 * share["trace"],
+                            100 * share["block"],
+                            100 * share["interpreter"],
+                        ),
+                        file=out,
+                    )
         if record:
             print("report: %s" % path, file=out)
         else:

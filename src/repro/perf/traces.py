@@ -1,18 +1,23 @@
 """Trace-recording JIT: hot block-to-block paths compiled as one unit.
 
-The block tier (PR 4) stops compiling at every branch, so block-to-block
+The block tier stops compiling at every branch, so block-to-block
 dispatch and per-block entry/exit bookkeeping dominate loop-heavy
 workloads.  This module adds the classic meta-tracing tier on top:
 
 * the :class:`~repro.perf.translate.BlockEngine` records **hot edges** -
   (branch address, next dispatch address) pairs observed after block
-  exits;
-* when an edge gets hot, the :class:`TraceBuilder` logic stitches a
-  *trace* starting at the edge target: straight-line segments (reusing
+  exits *and* after every interpreted ``jmp``/``call``/``ret``/Jcc, so
+  code whose straight-line runs are too short for the block tier (a
+  leaf-call loop, say) still gets profiled;
+* when an edge gets hot, :func:`build_trace` stitches a *trace*
+  starting at the edge target: straight-line segments (reusing
   :func:`repro.perf.blocks.discover`) joined across conditional
   branches in their observed-hot direction, each protected by a
-  **guard**; a trace whose stitched path returns to its own head is a
-  *looping trace* and compiles to a counted ``while`` loop;
+  **guard**, across ``jmp`` and ``call`` (unconditional; a call pushes
+  its return address on the in-body stack path), and across ``ret``
+  (a **return guard** against the predicted return target); a trace
+  whose stitched path returns to its own head is a *looping trace* and
+  compiles to a counted ``while`` loop;
 * the whole trace compiles to one Python function that keeps the CPU
   registers in **Python locals**, folds chains of register operations
   symbolically (six ``subi edi, 1`` become one ``r7 = (r7 - 6) &
@@ -33,13 +38,21 @@ and returns - the branch has not executed, so the interpreter (or the
 block tier) re-executes it with full transfer checks, hooks, and fault
 semantics.  The architectural state at a side exit is therefore
 bit-identical to single-stepping up to that branch, by construction.
+A return guard works the same way: it reads the word at ESP and
+compares it with the recorded return target; a mismatch (a corrupted
+or rewritten return address - the hijack path control-flow attestation
+watches) exits at the ``ret`` with ESP and the stack untouched, and
+only a match commits ``esp += 4``.  Return targets come from the
+matching stitched ``call`` when the trace contains one, else from the
+edge profile; either way the transfer is proven allowed at build time
+(``decisions.lookup_transfer``), like every stitched target.
 
 Event-horizon admission is *granular*: a linear trace whose whole cycle
 cost fits before the horizon runs in full; a looping trace computes how
 many whole iterations fit (``(horizon - now) // iter_cost``) and runs
 at most that many, exiting at the loop head.  What does **not** fit
 whole falls to the *horizon-split prefix body*: every trace also
-carries a checkpoint cost table (a cut after each stitched branch and
+carries a checkpoint cost table (a cut after each stitched transfer and
 every :data:`CHECKPOINT_INSNS` straight-line instructions) and a third
 compiled function that executes exactly the largest checkpoint prefix
 fitting the remaining budget, writing back registers, EFLAGS, the
@@ -101,8 +114,9 @@ DEFAULT_LOOP_ITERS = 16_384
 #: Hard per-dispatch iteration cap even under a distant horizon.
 MAX_LOOP_ITERS = 65_536
 
-#: Branch opcodes a trace may stitch through.
-_STITCHABLE = CONDITIONAL_BRANCHES | {Op.JMP}
+#: Transfer opcodes a trace may stitch through (and whose interpreted
+#: execution closes a profile edge in the block engine).
+STITCHABLE = CONDITIONAL_BRANCHES | {Op.JMP, Op.CALL, Op.RET}
 
 #: opcode -> expression over the local ``fl`` that is truthy exactly
 #: when the branch is taken (mirrors ``repro.hw.cpu._CONDITIONS``;
@@ -127,9 +141,11 @@ class Trace:
     ``items`` is the flattened path: ``("insn", address, insn)`` for
     straight-line instructions, ``("guard", address, insn,
     chosen_taken, target)`` for stitched conditional branches, and
-    ``("jmp", address, insn, target)`` for stitched unconditional
-    jumps.  ``iter_cost``/``iter_retire`` are the exact cycle/retire
-    totals of the full straight path (one iteration, for looping
+    ``("jmp" | "call" | "ret", address, insn, target)`` for stitched
+    unconditional jumps, calls, and guarded returns (a ``ret``'s
+    ``target`` is its recorded return address).
+    ``iter_cost``/``iter_retire`` are the exact cycle/retire totals of
+    the full straight path (one iteration, for looping
     traces) - upper bounds for every admitted execution, which is what
     the event-horizon test relies on.
     """
@@ -212,6 +228,32 @@ class Trace:
             ", looping" if self.looping else "",
             ", marker" if not self.items else "",
         )
+
+
+def _taken_target(item):
+    """Target of the taken transfer ``item`` commits, or ``None``.
+
+    Straight-line items and not-taken guards advance sequentially;
+    everything else (taken guard, ``jmp``, ``call``, matched ``ret``)
+    is a taken transfer paying :data:`~repro.cycles.INSN_BRANCH_TAKEN`
+    and, when the CFA monitor covers it, one recorded edge.
+    """
+    kind = item[0]
+    if kind == "insn":
+        return None
+    if kind == "guard":
+        return item[4] if item[3] else None
+    return item[3]
+
+
+def _item_cost(idx, item, cfa_flags):
+    """Exact cycle cost of item ``idx`` on the stitched path."""
+    cost = BASE_CYCLES[item[2].opcode]
+    if _taken_target(item) is not None:
+        cost += INSN_BRANCH_TAKEN
+        if idx in cfa_flags:
+            cost += CFA_EDGE_CYCLES
+    return cost
 
 
 def _trace_spans(items):
@@ -339,15 +381,21 @@ def build_trace(memory, head, profile, cfa=None):
     items = []
     pc = head
     seen = set()
+    #: Return addresses of the calls stitched so far (innermost last):
+    #: a ``ret`` inside the trace predicts its matching call's.
+    returns = []
     looping = False
     exit_eip = None
     total = 0
     segments = 0
     while True:
-        if pc in seen:
+        # Keyed with the predicted return stack: a leaf called twice
+        # per iteration is two contexts, not an inner cycle.
+        key = (pc, tuple(returns))
+        if key in seen:
             exit_eip = pc  # inner cycle not through the head: stop here
             break
-        seen.add(pc)
+        seen.add(key)
         segment = discover(memory, pc, min_insns=1)
         end = segment.end if segment.insns else pc
         for address, insn in segment.insns:
@@ -358,18 +406,32 @@ def build_trace(memory, head, profile, cfa=None):
             exit_eip = end
             break
         ender = _decode_at(memory, end)
-        if ender is None or ender.opcode not in _STITCHABLE:
+        if ender is None or ender.opcode not in STITCHABLE:
             exit_eip = end
             break
         if mpu is not None and not mpu.probe("execute", end, 1, end):
             exit_eip = end
             break
-        if ender.opcode is Op.JMP:
-            target = ender.imm
-            if decisions is None or not decisions.lookup_transfer(end, target):
+        opcode = ender.opcode
+        if opcode in (Op.JMP, Op.CALL, Op.RET):
+            if opcode is not Op.RET:
+                target = ender.imm
+            elif returns:
+                target = returns.pop()
+            else:
+                bucket = edges.get(end)
+                target = max(bucket, key=bucket.get) if bucket else None
+            if (
+                target is None
+                or decisions is None
+                or not decisions.lookup_transfer(end, target)
+            ):
                 exit_eip = end
                 break
-            items.append(("jmp", end, ender, target))
+            if opcode is Op.CALL:
+                returns.append(end + ender.length)
+            kind = "jmp" if opcode is Op.JMP else ("call" if opcode is Op.CALL else "ret")
+            items.append((kind, end, ender, target))
             total += 1
             if target == head:
                 looping = True
@@ -398,25 +460,14 @@ def build_trace(memory, head, profile, cfa=None):
     flagged = set()
     if cfa is not None:
         for idx, item in enumerate(items):
-            if item[0] == "jmp":
-                if cfa.covers(item[1], item[3]):
-                    flagged.add(idx)
-            elif item[0] == "guard" and item[3]:
-                if cfa.covers(item[1], item[4]):
-                    flagged.add(idx)
+            target = _taken_target(item)
+            if target is not None and cfa.covers(item[1], target):
+                flagged.add(idx)
     trace.cfa = frozenset(flagged)
-    cost = 0
-    retire = 0
-    for idx, item in enumerate(items):
-        opcode = item[2].opcode
-        cost += BASE_CYCLES[opcode]
-        retire += 1
-        if item[0] == "jmp" or (item[0] == "guard" and item[3]):
-            cost += INSN_BRANCH_TAKEN
-            if idx in flagged:
-                cost += CFA_EDGE_CYCLES
-    trace.iter_cost = cost
-    trace.iter_retire = retire
+    trace.iter_cost = sum(
+        _item_cost(idx, item, flagged) for idx, item in enumerate(items)
+    )
+    trace.iter_retire = len(items)
     trace.spans = _trace_spans(items)
     if looping and items[-1][0] == "guard" and items[-1][3]:
         body = items[:-1]
@@ -824,13 +875,16 @@ _REG_WRITES = frozenset(
      Op.SHLI, Op.SHRI, Op.NOT, Op.NEG, Op.LD, Op.LDB, Op.LDH, Op.POP}
 )
 
-_LOAD_SITES = frozenset({Op.LD, Op.LDB, Op.LDH, Op.POP})
-_STORE_SITES = frozenset({Op.ST, Op.STB, Op.STH, Op.PUSH, Op.PUSHI})
+#: Memory-site opcodes.  A stitched ``call`` stores its return address
+#: and a ``ret`` guard loads one, so both are word-sized stack sites.
+_LOAD_SITES = frozenset({Op.LD, Op.LDB, Op.LDH, Op.POP, Op.RET})
+_STORE_SITES = frozenset({Op.ST, Op.STB, Op.STH, Op.PUSH, Op.PUSHI, Op.CALL})
+_STACK_SITES = frozenset({Op.PUSH, Op.PUSHI, Op.POP, Op.CALL, Op.RET})
 
 #: Access width by memory-site opcode (stack ops are word-sized).
 _SITE_WIDTH = {
     Op.LD: 4, Op.ST: 4, Op.LDH: 2, Op.STH: 2, Op.LDB: 1, Op.STB: 1,
-    Op.POP: 4, Op.PUSH: 4, Op.PUSHI: 4,
+    Op.POP: 4, Op.PUSH: 4, Op.PUSHI: 4, Op.CALL: 4, Op.RET: 4,
 }
 
 #: width -> (alignment mask, index shift) for slab-view indexing.
@@ -871,11 +925,7 @@ def _checkpoint_plan(items, cfa_flags=frozenset()):
     since = 0
     last = len(items) - 1
     for idx, item in enumerate(items):
-        cost += BASE_CYCLES[item[2].opcode]
-        if item[0] == "jmp" or (item[0] == "guard" and item[3]):
-            cost += INSN_BRANCH_TAKEN
-            if idx in cfa_flags:
-                cost += CFA_EDGE_CYCLES
+        cost += _item_cost(idx, item, cfa_flags)
         since += 1
         if idx == last:
             break
@@ -919,12 +969,12 @@ def _steady_plan(items):
     for item in items:
         insn = item[2]
         opcode = insn.opcode
-        if opcode in (Op.PUSH, Op.PUSHI):
+        if opcode in (Op.PUSH, Op.PUSHI, Op.CALL):
             if not esp_clean:
                 return None
             off -= 4
             plan.append((_ESP, off))
-        elif opcode is Op.POP:
+        elif opcode in (Op.POP, Op.RET):
             if not esp_clean:
                 return None
             plan.append((_ESP, off))
@@ -949,16 +999,12 @@ def _reg_usage(items):
     used = set()
     written = set()
     for item in items:
-        if item[0] != "insn":
-            continue
         insn = item[2]
         opcode = insn.opcode
-        if opcode is Op.NOP:
-            continue
-        if opcode in (Op.PUSH, Op.PUSHI, Op.POP):
+        if opcode in _STACK_SITES:
             used.add(_ESP)
             written.add(_ESP)
-        if opcode is Op.PUSHI:
+        if item[0] != "insn" or opcode in (Op.NOP, Op.PUSHI):
             continue
         used.add(insn.reg)
         if opcode in _TWO_REG:
@@ -987,7 +1033,9 @@ def _flag_needs(items, cuts=None):
         if cuts is not None and cuts[idx]:
             live = True
         kind = items[idx][0]
-        if kind == "guard":
+        if kind in ("guard", "call", "ret"):
+            # a guard branches on ``fl``; a return guard's side exit
+            # and a faulting call push write it back
             live = True
         elif kind == "insn":
             opcode = items[idx][2].opcode
@@ -1034,8 +1082,6 @@ def generate_trace(trace, fast=False, prefix=False):
     store_n = {1: 0, 2: 0, 4: 0}
     site_meta = []  # (width, is_store) per memory site, in site order
     for it in items:
-        if it[0] != "insn":
-            continue
         opcode = it[2].opcode
         if opcode in _LOAD_SITES:
             load_n[_SITE_WIDTH[opcode]] += 1
@@ -1195,7 +1241,11 @@ def generate_trace(trace, fast=False, prefix=False):
                     continue
                 out.emit(ind, "%s%d.hits += %s" % (name_, width, expr))
 
-    def emit_exit(ind, eip, ret_k, cyc, kl, ks, guard=False):
+    def emit_exit(ind, eip, ret_k, cyc, kl, ks, guard=False, jump=None):
+        """Exit at ``eip`` with exact state; ``jump`` (a stitched
+        call's target) instead finishes the call at ``eip`` through
+        ``cpu._jump`` - the interpreter's own transfer tail - and
+        retires it."""
         emit_writebacks(ind)
         out.emit(ind, "regs.eflags = fl")
         if ret_k:
@@ -1210,6 +1260,9 @@ def generate_trace(trace, fast=False, prefix=False):
         out.emit(ind + 1, "clock.charge(q)")
         emit_slab_hits(ind, kl, ks)
         out.emit(ind, "regs.eip = %d" % eip)
+        if jump is not None:
+            out.emit(ind, "cpu._jump(%d)" % jump)
+            out.emit(ind, "cpu.retired += 1")
         if guard:
             out.emit(ind, "ge()")
         out.emit(ind, "return")
@@ -1335,12 +1388,20 @@ def generate_trace(trace, fast=False, prefix=False):
             return "(%s + %d) & 4294967295" % (expr, insn.imm)
         return expr
 
-    def emit_store_paths(site, ea, value, size, address, nxt, base_c, ret_k, cyc):
+    def emit_store_paths(
+        site, ea, value, size, address, nxt, base_c, ret_k, cyc, call=False
+    ):
         """Window-hit fast path (single snoop-page probe + direct slab
         write) and checked slow path of a store; both end with the
         self-modification abort.  An access aligned to its own width
         never crosses a 256-byte snoop page, so one probe suffices -
-        the window test already proved the alignment."""
+        the window test already proved the alignment.
+
+        ``call`` marks a stitched call's return-address push: ``nxt``
+        is then the call target, and an abort after the store finishes
+        the call's transfer through ``cpu._jump`` before exiting (after
+        an MMIO store that may have moved the EA-MPU epoch, so the
+        build-time transfer proof is re-checked there)."""
         bytes_of = "(%s)" % value if value.isdigit() else value
         if not hoist:
             em.emit("w = W[%d]" % site)
@@ -1353,18 +1414,25 @@ def generate_trace(trace, fast=False, prefix=False):
         out.emit(ind + 1, "if not tr.valid:")
         ks2 = dict(KS)
         ks2[size] += 1
-        emit_exit(ind + 2, nxt, ret_k + 1, cyc + base_c, dict(KL), ks2)
+        if call:
+            emit_exit(ind + 2, address, ret_k, cyc + base_c, dict(KL), ks2, jump=nxt)
+        else:
+            emit_exit(ind + 2, nxt, ret_k + 1, cyc + base_c, dict(KL), ks2)
         out.emit(ind, "else:")
         out.emit(ind + 1, "%s = %s" % (win_index(site, size, ea), value))
         em.emit("else:")
         slow_entry(ind, address, base_c, ret_k, cyc)
         out.emit(ind, "ram = slow_store(cpu, tr, %d, %s, %s, %d, %d)" % (site, ea, value, size, address))
-        out.emit(ind, "cpu.retired += 1")
         out.emit(ind, "SS%d.misses += 1" % size)
         out.emit(ind, "if not ram or not tr.valid:")
         emit_slab_hits(ind + 1, dict(KL), dict(KS))
-        out.emit(ind + 1, "regs.eip = %d" % nxt)
+        if call:
+            out.emit(ind + 1, "cpu._jump(%d)" % nxt)
+        else:
+            out.emit(ind + 1, "regs.eip = %d" % nxt)
+        out.emit(ind + 1, "cpu.retired += 1")
         out.emit(ind + 1, "return")
+        out.emit(ind, "cpu.retired += 1")
         out.emit(ind, "SS%d.hits -= 1" % size)
         win_refresh(ind, site)
 
@@ -1392,32 +1460,59 @@ def generate_trace(trace, fast=False, prefix=False):
         opcode = insn.opcode
         base_c = BASE_CYCLES[opcode]
         if kind == "guard":
-            chosen_taken = item[3]
             cond = _COND_EXPR[opcode]
-            if chosen_taken:
+            if item[3]:
                 em.emit("if not (%s):" % cond)
             else:
                 em.emit("if %s:" % cond)
             emit_exit(em.indent + 1, address, K, C, dict(KL), dict(KS), guard=True)
-            K += 1
-            C += base_c + (INSN_BRANCH_TAKEN if chosen_taken else 0)
+        elif kind == "call":
+            # push the return address (ESP moves first, so a faulting
+            # push leaves it decremented, as CPU.push does), then the
+            # stitched transfer, proven allowed at build time
+            em.apply_add(_ESP, -1, 4)
+            em.materialize(_ESP)
+            value = str((address + insn.length) & _M)
+            emit_store_paths(k, "r4", value, 4, address, item[3], base_c, K, C, call=True)
+            KS[4] += 1
+            k += 1
+        elif kind == "ret":
+            # return guard: compare the word at ESP with the recorded
+            # target; only a match pops it.  A window miss asks
+            # slow_ret, which reads RAM the EA-MPU would allow and
+            # answers None otherwise - a mismatch either way, so the
+            # interpreter performs (and faults on) the checked load.
+            em.materialize(_ESP)
+            em.flush_dependents(_ESP)
+            if not hoist:
+                em.emit("w = W[%d]" % k)
+            em.emit("if %s:" % win_cond(k, 4, "r4"))
+            ind = em.indent + 1
+            out.emit(ind, "v = %s" % win_index(k, 4, "r4"))
+            em.emit("else:")
+            out.emit(ind, "w2 = W2[%d]" % k)
+            out.emit(ind, "if %s:" % victim_cond(4, "r4"))
+            out.emit(ind + 1, "v = %s" % victim_index(4, "r4"))
+            out.emit(ind, "else:")
+            out.emit(ind + 1, "v = slow_ret(cpu, tr, %d, r4, %d)" % (k, address))
+            out.emit(ind + 1, "SL4.misses += 1")
+            out.emit(ind + 1, "SL4.hits -= 1")
+            win_refresh(ind + 1, k)
+            KL[4] += 1
+            k += 1
+            em.emit("if v != %d:" % item[3])
+            emit_exit(em.indent + 1, address, K, C, dict(KL), dict(KS), guard=True)
+            em.emit("r4 = (r4 + 4) & 4294967295")
+        if kind != "insn":
+            # The transfer is committed (a guard or return guard that
+            # failed exited above with it unexecuted, and the
+            # interpreter records it on re-execution): fold a taken one
+            # into the CFA path hash exactly as the interpreter would.
             if idx in trace.cfa:
-                # The guard passed, so the stitched taken transfer is
-                # committed: fold it into the CFA path hash exactly as
-                # the interpreter would (its cost is already in C; a
-                # guard *failure* exits with the branch unexecuted, and
-                # the interpreter records it on re-execution).
-                em.emit("CF.record_edge(%d, %d)" % (address, item[4]))
-                C += CFA_EDGE_CYCLES
-            emit_checkpoint(idx, item[4])
-            continue
-        if kind == "jmp":
+                em.emit("CF.record_edge(%d, %d)" % (address, _taken_target(item)))
             K += 1
-            C += base_c + INSN_BRANCH_TAKEN
-            if idx in trace.cfa:
-                em.emit("CF.record_edge(%d, %d)" % (address, item[3]))
-                C += CFA_EDGE_CYCLES
-            emit_checkpoint(idx, item[3])
+            C += _item_cost(idx, item, trace.cfa)
+            emit_checkpoint(idx, item[4] if kind == "guard" else item[3])
             continue
         x = insn.reg
         y = insn.reg2
@@ -1687,7 +1782,10 @@ def generate_trace(trace, fast=False, prefix=False):
             # pop loads first (a faulting load leaves ESP and the
             # destination untouched), then bumps ESP, then writes the
             # destination - so ``pop esp`` ends with the loaded value.
+            # Chains that captured ``r4`` (``mov eax, esp``) spill before
+            # the bump reassigns it.
             em.materialize(_ESP)
+            em.flush_dependents(_ESP)
             em.flush_dependents(x)
             if not hoist:
                 em.emit("w = W[%d]" % k)
@@ -1789,11 +1887,12 @@ def _trace_namespace(counters):
     # Deferred import: repro.perf.translate imports this module at load
     # time (the engine owns the JIT), so the module-level direction of
     # the dependency has to stay one-way.
-    from repro.perf.translate import _slow_load, _slow_store
+    from repro.perf.translate import _slow_load, _slow_return, _slow_store
 
     return {
         "slow_load": _slow_load,
         "slow_store": _slow_store,
+        "slow_ret": _slow_return,
         "NW": _NO_WINDOW,
         "SL4": counters.slab_loads,
         "SS4": counters.slab_stores,
@@ -1816,10 +1915,7 @@ def translate_trace(trace, counters):
     source = generate_trace(trace)
     code = compile(source, "<trace@0x%X>" % trace.start, "exec")
     exec(code, namespace)
-    mem_sites = sum(
-        1 for item in trace.items
-        if item[0] == "insn" and item[2].opcode in MEM_OPS
-    )
+    mem_sites = sum(1 for item in trace.items if item[2].opcode in _SITE_WIDTH)
     trace.windows = [None] * mem_sites
     trace.windows2 = [None] * mem_sites
     trace.checkpoints = _checkpoint_plan(trace.items, trace.cfa)[1]

@@ -45,7 +45,7 @@ from repro.hw.memory import RamRegion
 from repro.isa.opcodes import BASE_CYCLES, Op
 from repro.obs.counters import Counter
 from repro.perf.blocks import ALU_OPS, MEM_OPS, TRANSLATABLE_OPS, BlockCache, discover
-from repro.perf.traces import TraceJIT
+from repro.perf.traces import STITCHABLE, TraceJIT
 
 _M = 0xFFFFFFFF
 _SIGN = 0x80000000
@@ -599,6 +599,33 @@ def _slow_load(cpu, blk, index, address, size, actor):
     return int.from_bytes(payload, "little"), False
 
 
+def _slow_return(cpu, trace, index, address, actor):
+    """Return-address read for a trace's ``ret`` guard on a window miss.
+
+    Pure: the word at ``address`` comes back (and its widened window is
+    installed) only when it is RAM the EA-MPU would let ``actor`` read.
+    Anything else returns ``None``, which fails the guard, so the
+    interpreter re-executes the ``ret`` and performs the checked load -
+    a denial raises and logs there exactly as single-stepping does.
+    """
+    memory = cpu.memory
+    region = memory.map.try_find(address, 4)
+    if not isinstance(region, RamRegion):
+        return None
+    mpu = memory.mpu
+    if mpu is None:
+        window = _window_tuple(region, region.base, region.end, 4)
+    elif mpu.probe("read", address, 4, actor):
+        window = _window_for(mpu, region, address, 4)
+    else:
+        return None
+    old = trace.windows[index]
+    if old is not None:
+        trace.windows2[index] = old
+    trace.windows[index] = window
+    return int.from_bytes(region.read(address, 4), "little")
+
+
 def _slow_store(cpu, blk, index, address, value, size, actor):
     """Checked store for a window miss; returns ``ram``.
 
@@ -658,6 +685,12 @@ class BlockEngine:
         self.translations = Counter("block-translations")
         self.executions = Counter("block-executions")
         self.deferrals = Counter("block-horizon-deferrals")
+        #: Instructions retired per tier, added once per dispatch from
+        #: the ``cpu.retired`` delta (the interpreter's share is the
+        #: rest, see :meth:`snapshot`).
+        self.trace_retired = Counter("retired-trace")
+        self.block_retired = Counter("retired-block")
+        self._retired_base = cpu.retired
         cpu.memory.add_write_listener(self.cache.note_write)
         #: CFA enrolment generation the cached traces were built under
         #: (trace bodies embed hash updates for the enrolled regions,
@@ -669,7 +702,14 @@ class BlockEngine:
 
     def counters(self):
         """All counters, for registration with an obs registry."""
-        counters = [self.stats, self.translations, self.executions, self.deferrals]
+        counters = [
+            self.stats,
+            self.translations,
+            self.executions,
+            self.deferrals,
+            self.trace_retired,
+            self.block_retired,
+        ]
         if self.traces is not None:
             counters.append(self.traces.cache.stats)
             counters.extend(self.traces.counters.all())
@@ -682,6 +722,16 @@ class BlockEngine:
         snap["executions"] = self.executions.value
         snap["horizon_deferrals"] = self.deferrals.value
         snap["cached_blocks"] = len(self.cache)
+        trace = self.trace_retired.value
+        block = self.block_retired.value
+        snap["retired"] = {
+            "trace": trace,
+            "block": block,
+            # Everything else the CPU retired since the engine attached:
+            # single steps, plus a body's partial retirements when it
+            # raised a fault mid-way.
+            "interpreter": self.cpu.retired - self._retired_base - trace - block,
+        }
         if self.traces is not None:
             trace_snap = self.traces.counters.snapshot()
             trace_snap["cache"] = self.traces.cache.stats.snapshot()
@@ -729,23 +779,31 @@ class BlockEngine:
             return None
         eip = cpu.regs.eip
         if jit is not None:
+            retired = cpu.retired
             charged = jit.dispatch(cpu, eip)
             # Zero cycles: the trace's first guard failed before any
             # instruction retired, so this tier must execute it.
             if charged:
+                self.trace_retired.add(cpu.retired - retired)
                 return charged
         block = cache.entries.get(eip)
         stats = cache.stats
-        if block is None:
+        if block is None or block.run is None:
             stats.misses += 1
-            if self.decoded is not None:
-                insn = self.decoded.peek(eip)
-                if insn is not None and insn.opcode not in TRANSLATABLE_OPS:
-                    # No block can start on an untranslatable opcode.
-                    # The decoded-instruction cache answers that byte-
-                    # precisely, where a no-block marker would be dropped
-                    # by any store on its page and rediscovered.
-                    return None
+            insn = self.decoded.peek(eip) if self.decoded is not None else None
+            if insn is not None and jit is not None and insn.opcode in STITCHABLE:
+                # The interpreter executes this transfer: its target,
+                # the next dispatch address, closes a profile edge, so
+                # code too branchy for any block still finds trace heads.
+                jit.pending_edge = eip
+            if block is not None:
+                return None  # no-block marker
+            if insn is not None and insn.opcode not in TRANSLATABLE_OPS:
+                # No block can start on an untranslatable opcode.
+                # The decoded-instruction cache answers that byte-
+                # precisely, where a no-block marker would be dropped
+                # by any store on its page and rediscovered.
+                return None
             if not cache.note_miss(eip):
                 return None
             block = discover(memory, eip)
@@ -767,9 +825,6 @@ class BlockEngine:
             memory.note_snooped_range(block.start, block.end)
             if block.run is None:
                 return None
-        elif block.run is None:
-            stats.misses += 1
-            return None
         else:
             stats.hits += 1
         clock = cpu.clock
@@ -782,8 +837,10 @@ class BlockEngine:
                 self.deferrals.add()
                 return None
         before = clock.now
+        retired = cpu.retired
         self.executions.add()
         block.run(cpu, block)
+        self.block_retired.add(cpu.retired - retired)
         if jit is not None:
             # The block exits at its ender (a branch or other
             # non-translatable op); the next dispatch address closes a

@@ -11,7 +11,7 @@ Usage::
     python -m repro.tools.bench --cfa         # CFA recording overhead
 
 The throughput mode runs the CPU bench (:mod:`repro.perf.bench_core`):
-four workloads (alu / mem / irq / shared), each in baseline, fast-path,
+five workloads (alu / mem / irq / shared / call), each in baseline, fast-path,
 block-translation, and trace-JIT mode, appending to the run history in
 ``BENCH_cpu_core.json``.  ``--no-blocks`` skips both JIT tiers and
 ``--no-traces`` skips just the trace JIT (the ablation modes CI runs);
@@ -19,7 +19,9 @@ block-translation, and trace-JIT mode, appending to the run history in
 regresses - blocks vs. fastpath on every workload, traces vs. blocks
 on alu/mem, traces at least 2x blocks on irq (horizon-split prefix
 admission), traces vs. fastpath on irq and on shared (stores into the
-code's own snoop granule; the architectural-equivalence
+code's own snoop granule), and traces at least 1.5x fastpath on call
+(a leaf-call loop only call/ret stitching takes out of the
+interpreter; the architectural-equivalence
 check is always on: any divergence between modes raises before a
 report is written).  Gate runs never append to the report history;
 ``--no-record`` requests the same for a plain run.
@@ -126,7 +128,8 @@ def build_parser():
         action="store_true",
         help="fail (exit 1) if a JIT tier regresses on any throughput "
         "workload (blocks vs. fastpath everywhere; traces vs. blocks "
-        "on alu/mem and >= 2x on irq; traces vs. fastpath on irq)",
+        "on alu/mem and >= 2x on irq; traces vs. fastpath on irq and "
+        "shared, >= 1.5x on call)",
     )
     return parser
 
@@ -141,6 +144,7 @@ _THROUGHPUT_GATES = (
     ("traces_vs_blocks", 2.0, ("irq",)),
     ("traces_vs_fastpath", 1.0, ("irq",)),
     ("traces_vs_fastpath", 1.0, ("shared",)),
+    ("traces_vs_fastpath", 1.5, ("call",)),
 )
 
 

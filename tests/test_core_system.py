@@ -1,5 +1,7 @@
 """Tests for the TyTAN facade and end-to-end integration scenarios."""
 
+import hashlib
+
 from repro import build_freertos_baseline
 from repro.core.identity import identity_of_image
 
@@ -20,6 +22,32 @@ class TestFacade:
         assert len(set(bases)) == len(bases)
         for component in components:
             assert system.platform.in_firmware(component.base)
+
+    def test_component_page_contents_pinned(self, system):
+        # Secure boot measures these bytes; the pinned SHA-256 digests
+        # keep the memoised page builder byte-identical to the original
+        # per-byte fill, across repeated boots.
+        pinned = {
+            "os-gate": "4d6ed838bbd9be7fd45b253f0281e9f88ea8a9a3913b9212e4301c1830b0ade1",
+            "ea-mpu-driver": "93d56dbdbe4cc0a3f7025d7cf3eb749c27a502ee3252c32056a3df9da411efcb",
+            "int-mux": "1adffbd38467ff8df0928f60aae7076040dc2c3393563460a25321aef8754e82",
+            "rtm": "00f8e7582db40e3717273fa35a8abee7f7034dba4d64600411967109d3e238ea",
+            "ipc-proxy": "1cb526b1112c415f0e355c70f05b088c7b4d9b08feb4a09e91a32c419a19f9a0",
+            "remote-attest": "2c68638be01099b25696b4faec8e9a0ca195b6c9dc4245ac0351f3e1cbc74d91",
+            "secure-storage": "2f9ee48b6f2d0376c55bef2351737cb368ab72b006f9cdd640a5d07b84d235ee",
+        }
+        components = [
+            system.kernel.trap_gate,
+            system.mpu_driver,
+            system.int_mux,
+            system.rtm,
+            system.ipc,
+            system.remote_attest,
+            system.secure_storage,
+        ]
+        for component in components:
+            page = system.platform.memory.read_raw(component.base, component.size)
+            assert hashlib.sha256(page).hexdigest() == pinned[component.NAME]
 
     def test_build_image_convenience(self, system):
         image = system.build_image(COUNTER_TASK, "x", stack_size=300)

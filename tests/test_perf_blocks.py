@@ -401,7 +401,7 @@ class TestHorizon:
 class TestBench:
     def test_run_bench_all_modes_equivalent(self):
         result = run_bench(instructions=2_000)
-        assert set(result["workloads"]) == {"alu", "mem", "irq", "shared"}
+        assert set(result["workloads"]) == {"alu", "mem", "irq", "shared", "call"}
         for entry in result["workloads"].values():
             assert set(entry["modes"]) == {
                 "baseline",

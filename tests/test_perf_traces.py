@@ -7,6 +7,9 @@ guard side exits restore exact register/flag/cycle state, counted
 loops engage the unrolled fast body, self-modifying stores abort the
 running trace, the write snoop and the EA-MPU epoch drop cached
 traces, and the trace counters land on the platform's obs registry.
+Call-heavy code is traced too: ``call`` is stitched, ``ret`` is a
+return guard that side-exits on a rewritten return address, and CFA
+edge recording is baked into both.
 """
 
 import pytest
@@ -15,10 +18,13 @@ from repro.core.system import build_freertos_baseline
 from repro.hw.platform import MachineConfig, Platform
 from repro.image.linker import link
 from repro.isa.assembler import assemble
+from repro.cfa import CfaCore, PathRecorder
+from repro.core.system import TyTAN
 from repro.perf.bench_core import (
     CODE_BASE,
     DATA_BASE,
     _build_mode_rig,
+    _call_source,
     _irq_source,
     _run,
     _shared_source,
@@ -430,3 +436,124 @@ class TestObsIntegration:
         assert entry.kind == "halt"
         kinds = {event.kind for event in platform.obs.events}
         assert "trace-compile" in kinds
+
+
+#: The CFA call/ret task of the host benchmark's kernel mix: 50 calls
+#: of a two-instruction leaf per pass, then publish (result, passes).
+_KERNEL_CALL_SOURCE = """
+.section .text
+.global start
+start:
+    movi eax, 5
+    movi ebx, 0
+    movi esi, result
+outer:
+    movi ecx, 50
+loop:
+    call work
+    subi ecx, 1
+    cmpi ecx, 0
+    jnz loop
+    addi ebx, 1
+    st [esi], eax
+    st [esi+4], ebx
+    jmp outer
+work:
+    addi eax, 7
+    xori eax, 9
+    ret
+.section .data
+    .space 256
+result:
+    .word 0, 0
+"""
+
+
+def _traces_of(cpu):
+    return [t for t in cpu.block_engine.traces.cache.entries.values() if t.items]
+
+
+class TestCallReturn:
+    def test_call_loop_compiles_one_looping_trace(self):
+        plain, traced, cpu = _pair(_call_source(400))
+        assert plain == traced
+        traces = _traces_of(cpu)
+        assert len(traces) == 1
+        trace = traces[0]
+        kinds = [item[0] for item in trace.items]
+        assert trace.looping
+        assert "call" in kinds and "ret" in kinds
+        # The leaf is only three instructions: without stitching no
+        # trace forms and the loop stays below the trace tier.
+        assert cpu.block_engine.snapshot()["retired"]["trace"] > 0.9 * cpu.retired
+
+    def test_return_mismatch_exits_at_ret_with_stack_untouched(self):
+        _, _, cpu = _pair(_call_source(400))
+        trace = _traces_of(cpu)[0]
+        ret_idx = next(i for i, item in enumerate(trace.items) if item[0] == "ret")
+        ret_address, target = trace.items[ret_idx][1], trace.items[ret_idx][3]
+        # Enter the trace at its head with a return address that does
+        # not match the recorded target (a hijacked return).
+        sp = cpu.regs.esp - 16
+        bogus = target + 1
+        cpu.memory.write_raw(sp, bogus.to_bytes(4, "little"))
+        cpu.regs.esp = sp
+        cpu.regs.eip = trace.start
+        stats = cpu.block_engine.traces.counters
+        exits = stats.guard_exits.value
+        retired = cpu.retired
+        trace.run(cpu, trace, 5)
+        assert cpu.regs.eip == ret_address
+        assert cpu.regs.esp == sp
+        assert int.from_bytes(cpu.memory.read_raw(sp, 4), "little") == bogus
+        assert cpu.retired == retired + ret_idx
+        assert stats.guard_exits.value == exits + 1
+
+    def test_cfa_flags_on_call_and_ret_edges(self):
+        source = _call_source(400)
+        evidence = []
+        for mode in ("fastpath", "traces"):
+            cpu, timer = _build_mode_rig(source, mode)
+            recorder = PathRecorder()
+            cpu.cfa = CfaCore(cpu.clock)
+            cpu.cfa.attach_region(CODE_BASE, CODE_BASE + 0x1000, recorder)
+            _run(cpu, timer)
+            recorder.seal()
+            evidence.append(
+                (recorder.path_digest(), recorder.edges, cpu.clock.now, cpu.retired)
+            )
+        assert evidence[0] == evidence[1]
+        trace = _traces_of(cpu)[0]
+        flagged = {trace.items[idx][0] for idx in trace.cfa}
+        assert {"call", "ret"} <= flagged
+        # Recording did not push the loop back into the interpreter.
+        assert cpu.block_engine.snapshot()["retired"]["trace"] > 0.9 * cpu.retired
+
+    def test_kernel_call_task_retires_in_traces(self):
+        system = TyTAN()
+        task = system.load_source(_KERNEL_CALL_SOURCE, "call")
+        system.enable_cfa(task)
+        system.run(max_cycles=400_000)
+        retired = system.platform.cpu.block_engine.snapshot()["retired"]
+        total = sum(retired.values())
+        assert retired["trace"] >= 0.9 * total
+
+    def test_pop_after_esp_copy_reads_old_esp(self):
+        # ``mov eax, esp`` leaves a pending copy of r4; the pop's ESP
+        # bump must spill it first, or eax reads the bumped value.
+        source = """\
+start:
+    movi ebx, %d
+    movi ecx, 50
+loop:
+    push ecx
+    mov eax, esp
+    pop edx
+    st [ebx+0], eax
+    addi esi, 1
+    subi ecx, 1
+    jnz loop
+    hlt
+""" % DATA_BASE
+        plain, traced, _ = _pair(source)
+        assert plain == traced

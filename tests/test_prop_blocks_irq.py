@@ -15,10 +15,18 @@ The data pointer is drawn from two layouts: a page of its own
 program's code, inside the code's last 256-byte snoop granule - so
 the random loads and stores land beside live code, and the code
 caches' byte-precise write snooping is exercised on every store.
+
+A loop body may also ``call`` a random leaf function placed after the
+``hlt``, so the trace tier stitches ``call`` and guards ``ret`` under
+the same random interrupts.  Pinned examples cover a leaf that
+rewrites its own return address every other call (the return guard
+must side-exit), a nested call, and a ``call`` whose push faults once
+a drifting stack pointer leaves RAM.
 """
 
 from hypothesis import example, given, settings, strategies as st
 
+from repro.errors import HardwareFault
 from repro.hw.exceptions import Vector
 from repro.hw.platform import MachineConfig, Platform
 from repro.image.linker import link
@@ -57,12 +65,30 @@ _insn = st.one_of(
 IN_CODE = "data"
 
 
-def _program(body, iterations, data_base):
-    """The test program; ``data_base`` is an address or :data:`IN_CODE`."""
+#: A random leaf: ``(call position in the body, leaf instructions)``.
+_leaf = st.none() | st.tuples(
+    st.integers(min_value=0, max_value=24), st.lists(_insn, min_size=1, max_size=6)
+)
+
+
+def _program(body, iterations, data_base, leaf=None):
+    """The test program; ``data_base`` is an address or :data:`IN_CODE`.
+
+    ``leaf`` is ``None`` or ``(position, instructions)``: a ``call
+    leaf`` goes in at ``position`` (unless the body already has one)
+    and ``leaf:`` (the instructions, then ``ret``) follows the ``hlt``.
+    """
     data = data_base if data_base == IN_CODE else "%d" % data_base
     lines = ["start:", "movi ebx, %s" % data, "movi ecx, %d" % iterations, "sti", "loop:"]
+    body = list(body)
+    if leaf is not None and "call leaf" not in body:
+        body.insert(min(leaf[0], len(body)), "call leaf")
     lines.extend(body)
     lines.extend(["subi ecx, 1", "jnz loop", "cli", "hlt"])
+    if leaf is not None:
+        lines.append("leaf:")
+        lines.extend(leaf[1])
+        lines.append("ret")
     lines.extend(
         [
             "irq_handler:",
@@ -86,6 +112,34 @@ def _program(body, iterations, data_base):
 #: ``[edi+8]`` is the low immediate byte of ``addi edx, 1``.
 SMC_BODY = ["movi edi, loop", "addi edx, 1", "stb eax, [edi+8]", "addi eax, 3"]
 
+#: A leaf that rewrites its own return address on every other call
+#: (odd ``ecx``), skipping the ``addi`` after the call site: the return
+#: guard's recorded target is wrong half the time and must side-exit.
+RETURN_REWRITE = (
+    ["addi eax, 1", "call leaf", "addi edx, 5", "skip:", "xori esi, 9"],
+    (
+        0,
+        ["mov edi, ecx", "andi edi, 1", "jz keep", "movi edi, skip", "st [esp+0], edi", "keep:"],
+    ),
+)
+
+#: A nested call: the leaf calls a second leaf (defined after its
+#: ``ret``), so a trace stitches two calls and two returns.
+NESTED_CALL = (
+    ["addi eax, 3", "xor edx, eax", "call leaf", "subi esi, 1"],
+    (
+        0,
+        ["addi edi, 7", "call leaf2", "xori edi, 2", "ret", "leaf2:", "shli edx, 1", "addi edx, 1"],
+    ),
+)
+
+#: The stack pointer drifts down 256 bytes per iteration, so once the
+#: traced loop is hot the ``call``'s push leaves task RAM and faults.
+PUSH_FAULT = (
+    ["subi esp, 256", "addi eax, 1", "call leaf", "xori edx, 3"],
+    (0, ["addi edi, 1"]),
+)
+
 
 def _run(source, blocks, tick_period, traces=True):
     platform = Platform(
@@ -104,9 +158,12 @@ def _run(source, blocks, tick_period, traces=True):
     cpu.regs.eip = base + image.entry
     cpu.regs.esp = base + 0x8000
     platform.tick_timer.start(platform.clock.now)
-    entry = platform.run_isa_until_event(max_cycles=500_000)
-    assert entry.kind == "halt"
+    try:
+        outcome = platform.run_isa_until_event(max_cycles=500_000).kind
+    except HardwareFault as fault:
+        outcome = "%s: %s" % (type(fault).__name__, fault)
     return {
+        "outcome": outcome,
         "retired": cpu.retired,
         "cycles": platform.clock.now,
         "gpr": list(cpu.regs.gpr),
@@ -126,6 +183,7 @@ def _run(source, blocks, tick_period, traces=True):
 @settings(max_examples=25, deadline=None)
 @given(
     body=st.lists(_insn, min_size=4, max_size=24),
+    leaf=_leaf,
     iterations=st.integers(min_value=2, max_value=40),
     tick_period=st.integers(min_value=60, max_value=3000),
     in_code=st.booleans(),
@@ -143,17 +201,26 @@ def _run(source, blocks, tick_period, traces=True):
         "shri eax, 24",
         "ld edx, [ebx+0]",
     ],
+    leaf=None,
     iterations=24,
     tick_period=60,
     in_code=False,
 )
 # True self-modifying code: each iteration's ``stb`` rewrites the
 # immediate of the live ``addi edx, 1`` two instructions back.
-@example(body=SMC_BODY, iterations=30, tick_period=60, in_code=True)
-def test_blocks_invisible_under_random_irqs(body, iterations, tick_period, in_code):
-    source = _program(body, iterations, IN_CODE if in_code else 0x0010_4000)
+@example(body=SMC_BODY, leaf=None, iterations=30, tick_period=60, in_code=True)
+@example(
+    body=RETURN_REWRITE[0], leaf=RETURN_REWRITE[1], iterations=40, tick_period=90, in_code=False
+)
+@example(body=NESTED_CALL[0], leaf=NESTED_CALL[1], iterations=40, tick_period=70, in_code=True)
+@example(
+    body=PUSH_FAULT[0], leaf=PUSH_FAULT[1], iterations=200, tick_period=3000, in_code=False
+)
+def test_blocks_invisible_under_random_irqs(body, leaf, iterations, tick_period, in_code):
+    source = _program(body, iterations, IN_CODE if in_code else 0x0010_4000, leaf)
     plain = _run(source, blocks=False, tick_period=tick_period)
     blocked = _run(source, blocks=True, tick_period=tick_period)
+    assert plain["outcome"] == "halt" or body == PUSH_FAULT[0]
     assert plain == blocked
     # The timer genuinely interrupted at least once on longer runs, so
     # the equality above exercised interrupt delivery, not just ALU.
@@ -164,6 +231,7 @@ def test_blocks_invisible_under_random_irqs(body, iterations, tick_period, in_co
 @settings(max_examples=25, deadline=None)
 @given(
     body=st.lists(_insn, min_size=4, max_size=24),
+    leaf=_leaf,
     iterations=st.integers(min_value=2, max_value=40),
     tick_period=st.integers(min_value=60, max_value=3000),
     in_code=st.booleans(),
@@ -172,6 +240,7 @@ def test_blocks_invisible_under_random_irqs(body, iterations, tick_period, in_co
 # compiled to a ``for`` with no statements under it.
 @example(
     body=["not eax", "addi eax, 0", "addi eax, 0", "not eax"],
+    leaf=None,
     iterations=10,
     tick_period=60,
     in_code=False,
@@ -190,21 +259,30 @@ def test_blocks_invisible_under_random_irqs(body, iterations, tick_period, in_co
         "ldb eax, [ebx+12]",
         "subi ebp, 690",
     ],
+    leaf=None,
     iterations=13,
     tick_period=60,
     in_code=False,
 )
 # True self-modifying code: each iteration's ``stb`` rewrites the
 # immediate of the live ``addi edx, 1`` two instructions back.
-@example(body=SMC_BODY, iterations=30, tick_period=60, in_code=True)
-def test_traces_invisible_under_random_irqs(body, iterations, tick_period, in_code):
+@example(body=SMC_BODY, leaf=None, iterations=30, tick_period=60, in_code=True)
+@example(
+    body=RETURN_REWRITE[0], leaf=RETURN_REWRITE[1], iterations=40, tick_period=90, in_code=False
+)
+@example(body=NESTED_CALL[0], leaf=NESTED_CALL[1], iterations=40, tick_period=70, in_code=True)
+@example(
+    body=PUSH_FAULT[0], leaf=PUSH_FAULT[1], iterations=200, tick_period=3000, in_code=False
+)
+def test_traces_invisible_under_random_irqs(body, leaf, iterations, tick_period, in_code):
     """The trace JIT is architecturally invisible: traces-on vs
     traces-off (block tier in both) agree on every final-state field
     and on the whole event stream - so every interrupt was delivered
     on exactly the same instruction boundary."""
-    source = _program(body, iterations, IN_CODE if in_code else 0x0010_4000)
+    source = _program(body, iterations, IN_CODE if in_code else 0x0010_4000, leaf)
     ablated = _run(source, blocks=True, tick_period=tick_period, traces=False)
     traced = _run(source, blocks=True, tick_period=tick_period, traces=True)
+    assert ablated["outcome"] == "halt" or body == PUSH_FAULT[0]
     assert ablated == traced
     if ablated["cycles"] > 2 * tick_period:
         assert ablated["ticks"] > 0

@@ -9,20 +9,26 @@ and the entire architectural outcome (registers, memory, cycles,
 retired count, timer ticks) must be bit-for-bit identical: the trace
 tier's closed-form bulk recording and the interpreter's per-edge
 recording must commit to exactly the same path, even when interrupts
-land mid-loop.
+land mid-loop.  Loop bodies may ``call`` a random leaf, so stitched
+call edges and guarded return edges are recorded in trace bodies; the
+examples pinned in ``test_prop_blocks_irq`` (a leaf rewriting its
+return address, a nested call, a faulting push) run here too.
 
 A second property pins the recorder's bulk contract directly:
 ``record_run(src, dst, n)`` interleaved with preemption-style seals is
 exactly equivalent to ``n`` single records with the same seals.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cfa import CfaCore, PathRecorder
+from repro.errors import HardwareFault
 from repro.hw.exceptions import Vector
 from repro.hw.platform import MachineConfig, Platform
 from repro.image.linker import link
 from repro.isa.assembler import assemble
+
+from test_prop_blocks_irq import NESTED_CALL, PUSH_FAULT, RETURN_REWRITE
 
 _SCRATCH = ("eax", "edx", "esi", "edi", "ebp")
 
@@ -46,10 +52,25 @@ _insn = st.one_of(
 )
 
 
-def _program(body, iterations, data_base):
+#: A random leaf: ``(call position in the body, leaf instructions)``.
+_leaf = st.none() | st.tuples(
+    st.integers(min_value=0, max_value=20), st.lists(_insn, min_size=1, max_size=6)
+)
+
+
+def _program(body, iterations, data_base, leaf=None):
+    """The test program; ``leaf`` is ``None`` or ``(position,
+    instructions)``, as in ``test_prop_blocks_irq._program``."""
     lines = ["start:", "movi ebx, %d" % data_base, "movi ecx, %d" % iterations, "sti", "loop:"]
+    body = list(body)
+    if leaf is not None and "call leaf" not in body:
+        body.insert(min(leaf[0], len(body)), "call leaf")
     lines.extend(body)
     lines.extend(["subi ecx, 1", "jnz loop", "cli", "hlt"])
+    if leaf is not None:
+        lines.append("leaf:")
+        lines.extend(leaf[1])
+        lines.append("ret")
     lines.extend(
         [
             "irq_handler:",
@@ -90,10 +111,13 @@ def _run(source, *, fastpath, blocks, traces, tick_period):
     cpu.cfa = CfaCore(platform.clock)
     cpu.cfa.attach_region(base, base + len(image.blob), recorder)
     platform.tick_timer.start(platform.clock.now)
-    entry = platform.run_isa_until_event(max_cycles=500_000)
-    assert entry.kind == "halt"
+    try:
+        outcome = platform.run_isa_until_event(max_cycles=500_000).kind
+    except HardwareFault as fault:
+        outcome = "%s: %s" % (type(fault).__name__, fault)
     recorder.seal()
     return {
+        "outcome": outcome,
         "digest": recorder.path_digest(),
         "edges": recorder.edges,
         "sealed": recorder.sealed,
@@ -120,14 +144,19 @@ _TIERS = (
 @settings(max_examples=10, deadline=None)
 @given(
     body=st.lists(_insn, min_size=4, max_size=20),
+    leaf=_leaf,
     iterations=st.integers(min_value=2, max_value=40),
     tick_period=st.integers(min_value=60, max_value=3000),
 )
+@example(body=RETURN_REWRITE[0], leaf=RETURN_REWRITE[1], iterations=40, tick_period=90)
+@example(body=NESTED_CALL[0], leaf=NESTED_CALL[1], iterations=40, tick_period=70)
+@example(body=PUSH_FAULT[0], leaf=PUSH_FAULT[1], iterations=200, tick_period=3000)
 def test_path_evidence_identical_across_tiers_under_random_irqs(
-    body, iterations, tick_period
+    body, leaf, iterations, tick_period
 ):
-    source = _program(body, iterations, 0x0010_4000)
+    source = _program(body, iterations, 0x0010_4000, leaf)
     baseline = _run(source, tick_period=tick_period, **_TIERS[0])
+    assert baseline["outcome"] == "halt" or body == PUSH_FAULT[0]
     assert baseline["edges"] > 0  # the loop back-edge was recorded
     for config in _TIERS[1:]:
         other = _run(source, tick_period=tick_period, **config)
