@@ -13,7 +13,9 @@ Logs stay bounded two ways:
   ``(src, dst, count)`` - a tight counted loop costs one run, not one
   record per iteration - and :meth:`PathRecorder.record_run` is defined
   to be exactly equivalent to ``count`` single records, which is what
-  lets the trace JIT's closed-form loop bodies record in bulk;
+  lets the trace JIT's closed-form loop bodies record in bulk
+  (:meth:`PathRecorder.record_cycle` is the same contract for a
+  repeating sequence of edges: a looping trace body's iterations);
 * after :data:`SEGMENT_RUNS` runs the segment *seals*: its runs are
   digested into the hash chain and the oldest sealed segment is evicted
   once :attr:`PathRecorder.max_segments` are retained (the eviction
@@ -27,15 +29,17 @@ instruction boundary in every tier, so the seals do too.
 
 :class:`CfaCore` is the CPU attachment (``cpu.cfa``): it resolves the
 enrolled region for an edge, charges the modelled per-edge cost on the
-interpreter path, and bumps a generation counter whenever the enrolled
-set changes so the trace tier can flush bodies compiled against a stale
-region set.
+interpreter path, binds edges to their recorder at trace compile time
+(:meth:`CfaCore.bind`), and bumps a generation counter whenever the
+enrolled set changes so the trace tier can flush bodies bound to a
+stale region set.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
+from itertools import cycle, islice, starmap
 
 from repro import cycles
 
@@ -58,9 +62,7 @@ RUN_STRUCT = struct.Struct("<IIQ")
 def segment_digest(prev, runs):
     """Chain digest of one segment: ``H(prev | runs)``."""
     h = hashlib.blake2s(prev, digest_size=DIGEST_SIZE)
-    pack = RUN_STRUCT.pack
-    for src, dst, count in runs:
-        h.update(pack(src, dst, count))
+    h.update(b"".join(starmap(RUN_STRUCT.pack, runs)))
     return h.digest()
 
 
@@ -148,11 +150,58 @@ class PathRecorder:
             self._close_run()
         self._open = [src, dst, count]
 
+    def record_cycle(self, pattern, count):
+        """Fold ``count`` consecutive passes over the edge sequence
+        ``pattern`` (``(src, dst)`` pairs).
+
+        Exactly equivalent to ``count`` passes of :meth:`record` over
+        ``pattern``, auto-seals included - the :meth:`record_run`
+        contract for a repeating sequence, which is what lets a looping
+        trace body record its completed iterations at exit.  The first
+        pass goes through :meth:`record` (it may extend the open run);
+        every later pass closes the same tuple of runs and leaves the
+        same open run, so those runs are appended in bulk, sealing
+        wherever the single-record stream would.
+        """
+        if count <= 0 or not pattern:
+            return
+        for src, dst in pattern:
+            self.record(src, dst)
+        rest = count - 1
+        if not rest:
+            return
+        runs = []  # the pattern's own runs, [src, dst, n]
+        for src, dst in pattern:
+            if runs and runs[-1][0] == src and runs[-1][1] == dst:
+                runs[-1][2] += 1
+            else:
+                runs.append([src, dst, 1])
+        if len(runs) == 1:
+            self.record_run(runs[0][0], runs[0][1], len(pattern) * rest)
+            return
+        first, last = runs[0], runs[-1]
+        if first[0] == last[0] and first[1] == last[1]:
+            # a pass's last run continues into the next pass's first
+            closed = [(last[0], last[1], last[2] + first[2])]
+            closed.extend(tuple(run) for run in runs[1:-1])
+        else:
+            closed = [tuple(last)]
+            closed.extend(tuple(run) for run in runs[:-1])
+        self.edges += len(pattern) * rest
+        stream = islice(cycle(closed), len(closed) * rest)
+        while True:
+            chunk = list(islice(stream, self.segment_runs - len(self._runs)))
+            if not chunk:
+                return
+            self._runs.extend(chunk)
+            if len(self._runs) >= self.segment_runs:
+                self._seal_runs()
+
     def _close_run(self):
         self._runs.append(tuple(self._open))
         self._open = None
         if len(self._runs) >= self.segment_runs:
-            self.seal()
+            self._seal_runs()
 
     def seal(self):
         """Seal the open segment; returns it, or ``None`` if empty.
@@ -164,6 +213,10 @@ class PathRecorder:
         if self._open is not None:
             self._runs.append(tuple(self._open))
             self._open = None
+        return self._seal_runs()
+
+    def _seal_runs(self):
+        """Seal the closed runs (the open run stays open)."""
         if not self._runs:
             return None
         runs = tuple(self._runs)
@@ -225,12 +278,16 @@ class CfaCore:
 
     Holds the enrolled ``(lo, hi, recorder)`` regions.  The interpreter
     tiers call :meth:`on_transfer` from ``CPU._jump`` (charging the
-    modelled per-edge cost); trace-compiled bodies call
-    :meth:`record_edge` / :meth:`record_edge_run` instead, because
-    their cost was baked into the trace's static cycle total at build
-    time.  ``generation`` moves on every enrolment change; the block
-    engine flushes the trace cache when it observes a new generation,
-    so no compiled body ever runs against a stale region set.
+    modelled per-edge cost).  The trace builder resolves each stitched
+    edge once, with :meth:`bind`, and the compiled body calls that
+    :class:`PathRecorder` directly with the region-relative offsets -
+    no region scan and no charge at run time, because the cost was
+    baked into the trace's static cycle total at build time.
+    :meth:`record_edge` / :meth:`record_edge_run` are the unbound form
+    of the same uncharged recording.  ``generation`` moves on every
+    enrolment change; the block engine flushes the trace cache when it
+    observes a new generation, so no compiled body ever runs bound to
+    a stale region set.
     """
 
     __slots__ = ("clock", "regions", "generation", "recorded", "bulk_recorded")
@@ -239,9 +296,11 @@ class CfaCore:
         self.clock = clock
         self.regions = []
         self.generation = 0
-        #: Edges recorded one at a time (interpreter + trace exits).
+        #: Edges recorded one at a time through this port (the
+        #: interpreter path and :meth:`record_edge`; bound trace bodies
+        #: record on the recorder itself, see ``PathRecorder.edges``).
         self.recorded = 0
-        #: Edges recorded via closed-form bulk runs (trace fast bodies).
+        #: Edges recorded through :meth:`record_edge_run`.
         self.bulk_recorded = 0
 
     def attach_region(self, lo, hi, recorder):
@@ -254,12 +313,23 @@ class CfaCore:
         self.regions = [entry for entry in self.regions if entry[0] != lo]
         self.generation += 1
 
+    def bind(self, src, dst):
+        """``(recorder, src - lo, dst - lo)`` for a taken ``src -> dst``
+        transfer the monitor records, else ``None``.
+
+        The trace builder's compile-time form of :meth:`record_edge`:
+        valid for one enrolment generation.
+        """
+        for lo, hi, recorder in self.regions:
+            if lo <= src < hi:
+                if lo <= dst < hi:
+                    return recorder, src - lo, dst - lo
+                return None
+        return None
+
     def covers(self, src, dst):
         """Whether a taken ``src -> dst`` transfer would be recorded."""
-        for lo, hi, _ in self.regions:
-            if lo <= src < hi:
-                return lo <= dst < hi
-        return False
+        return self.bind(src, dst) is not None
 
     def on_transfer(self, src, dst):
         """Interpreter path: charge and record one taken transfer."""
@@ -272,7 +342,7 @@ class CfaCore:
                 return
 
     def record_edge(self, src, dst):
-        """Trace path: record without charging (cost statically baked)."""
+        """Record without charging (the cost is statically baked)."""
         for lo, hi, recorder in self.regions:
             if lo <= src < hi:
                 if lo <= dst < hi:
@@ -281,7 +351,7 @@ class CfaCore:
                 return
 
     def record_edge_run(self, src, dst, count):
-        """Trace fast-body path: ``count`` repeats of one edge in bulk."""
+        """``count`` repeats of one edge in bulk, without charging."""
         for lo, hi, recorder in self.regions:
             if lo <= src < hi:
                 if lo <= dst < hi:

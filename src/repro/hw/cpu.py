@@ -184,8 +184,9 @@ class CPU:
         if self.halted:
             self.clock.charge(1)
             return 1
-        if self._blocks is not None:
-            charged = self._blocks.try_execute(self)
+        blocks = self._blocks
+        if blocks is not None and self.regs.eip not in blocks.refused:
+            charged = blocks.try_execute(self)
             if charged is not None:
                 return charged
         before = self.clock.now

@@ -273,22 +273,33 @@ class PhysicalMemory:
         self.mpu = None
         self._watchpoints = []
         self._write_listeners = []
-        #: Pages (address >> :data:`SNOOP_PAGE_SHIFT`) that ever held a
-        #: cached code artifact (decoded instructions, superblocks,
-        #: traces).  Every cache that registers a write listener also
-        #: records its pages here, so a translated store fast path may
-        #: skip the listener fan-out entirely when its target page was
-        #: never cached: no listener could have anything to invalidate.
-        #: The set is add-only (entries may go stale when a cache drops
-        #: a page); staleness only costs a redundant listener round,
-        #: never a missed invalidation.
-        self.snooped_pages = set()
+        #: Granule (address >> :data:`SNOOP_PAGE_SHIFT`) -> ``(lo, hi)``,
+        #: the hull of every code byte span a cache (decoded
+        #: instructions, superblocks, traces, and their no-block /
+        #: no-trace markers) ever registered on that granule, clipped to
+        #: it.  Every cache that registers a write listener also records
+        #: its spans here, so a translated store fast path may skip the
+        #: listener fan-out whenever the written bytes miss their
+        #: granule's hull: no listener could have anything to drop (and
+        #: :meth:`write_raw` skips the fan-out on the same test).  The
+        #: map is add-only and hulls only grow (entries go stale when a
+        #: cache drops a translation); staleness only costs a redundant
+        #: listener round, never a missed invalidation.
+        self.snoop_hulls = {}
 
     def note_snooped_range(self, start, end):
         """Record that ``[start, end)`` now backs a cached code artifact."""
-        first = start >> SNOOP_PAGE_SHIFT
-        last = (end - 1) >> SNOOP_PAGE_SHIFT
-        self.snooped_pages.update(range(first, last + 1))
+        hulls = self.snoop_hulls
+        for granule in range(start >> SNOOP_PAGE_SHIFT, ((end - 1) >> SNOOP_PAGE_SHIFT) + 1):
+            lo = max(start, granule << SNOOP_PAGE_SHIFT)
+            hi = min(end, (granule + 1) << SNOOP_PAGE_SHIFT)
+            hull = hulls.get(granule)
+            if hull is not None:
+                if hull[0] <= lo and hi <= hull[1]:
+                    continue
+                lo = min(lo, hull[0])
+                hi = max(hi, hull[1])
+            hulls[granule] = (lo, hi)
 
     def attach_mpu(self, mpu):
         """Install the EA-MPU; all subsequent accesses are checked."""
@@ -307,12 +318,15 @@ class PhysicalMemory:
         return bool(self._watchpoints)
 
     def add_write_listener(self, callback):
-        """Register ``callback(address, size)`` run after **every** write.
+        """Register ``callback(address, size)``: the code caches' snoop port.
 
         Both checked and raw writes funnel through :meth:`write_raw`, so
         listeners observe loader writes, hardware pushes, and MMIO
-        stores too.  This is the snoop port the decoded-instruction
-        cache uses to invalidate on stores into code.
+        stores too - every write whose bytes overlap the snoop hull of
+        a granule (:attr:`snoop_hulls`).  A listener must therefore
+        record every code span it caches with :meth:`note_snooped_range`
+        before relying on a write to it; in return, writes that miss
+        all cached code (stack pushes, data stores) skip the fan-out.
         """
         self._write_listeners.append(callback)
 
@@ -329,8 +343,14 @@ class PhysicalMemory:
         region = self.map.find(address, size)
         region.write(address, bytes(payload))
         if self._write_listeners:
-            for callback in self._write_listeners:
-                callback(address, size)
+            end = address + size
+            hulls = self.snoop_hulls
+            for granule in range(address >> SNOOP_PAGE_SHIFT, ((end - 1) >> SNOOP_PAGE_SHIFT) + 1):
+                hull = hulls.get(granule)
+                if hull is not None and address < hull[1] and hull[0] < end:
+                    for callback in self._write_listeners:
+                        callback(address, size)
+                    break
 
     # -- checked accessors -------------------------------------------------
 

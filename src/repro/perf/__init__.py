@@ -10,7 +10,9 @@ cache structures shared by the CPU, the EA-MPU, and the memory map:
   raw) lands in a cached code range;
 * :class:`~repro.perf.spans.SpanIndex` - the byte-span write-snoop
   index the decoded-instruction, block and trace caches share: a write
-  drops exactly the entries whose code bytes it overlaps;
+  drops exactly the entries whose code bytes it overlaps (and a
+  compiled store takes the snooped bus path only when it overlaps the
+  code hull of its granule, :func:`~repro.perf.spans.store_probe`);
 * :class:`~repro.perf.decision_cache.MPUDecisionCache` - memoized
   EA-MPU *allow* verdicts for data accesses and control transfers,
   invalidated by the MPU's epoch counter (bumped on every

@@ -1,6 +1,6 @@
 """CPU-core throughput bench: baseline / fast path / blocks / traces.
 
-Runs five self-terminating workloads through identically configured
+Runs seven self-terminating workloads through identically configured
 rigs (one per mode) and reports wall-clock instructions/sec, the
 speedups, and the cache hit rates:
 
@@ -17,15 +17,25 @@ speedups, and the cache hit rates:
   the tier with real interrupt batching (and proves delivery lands on
   the same instruction boundary in every mode).
 * ``shared`` - a load/increment/store counter loop whose counter word
-  sits in the same 256-byte snoop granule as the loop's code (the rig
-  grants a write rule over that granule for this workload only): every
-  store takes the broadcast write path and is snooped by every code
-  cache, so a cache that drops translations beside the written bytes
-  shows up here as a JIT tier slower than the interpreter.
+  sits in the same 256-byte snoop granule as the loop's code, right
+  above it (the rig grants a write rule over that granule for this
+  workload only): a code cache that drops translations beside the
+  written bytes shows up here as a JIT tier slower than the
+  interpreter.
 * ``call`` - a loop whose body calls a three-instruction leaf: only
   the leaf forms a block, and the call, return, and countdown stay in
   the interpreter unless the trace tier stitches ``call`` and guards
   ``ret``.
+* ``leaf2`` - the same loop with a two-instruction leaf: four of its
+  six instructions per iteration are interpreted in ``blocks`` mode,
+  so every dispatch the block tier refuses must cost next to nothing
+  for that mode to beat the plain fast path.
+* ``stack`` - a call/push loop whose stack is the 64 bytes just below
+  its code, in the code's first 256-byte snoop granule (the rig grants
+  a write rule over it): the layout of a task loaded right after
+  another.  Every push shares a granule with cached code but misses
+  its bytes, so a JIT tier that snoops by granule instead of by the
+  code's hull sends every push down the broadcast write path.
 
 The modes are ``baseline`` (every cache off), ``fastpath`` (PR 1's
 caches), ``blocks`` (fast path plus the superblock tier, trace JIT
@@ -33,7 +43,9 @@ ablated), and ``traces`` (the full stack with the trace-recording
 JIT).  All runs of one workload must be *architecturally identical* - same
 retired count, same simulated cycles, same registers, memory, fault
 log, and timer ticks - which the bench asserts before reporting
-numbers.  Each JIT mode also reports which tier retired the
+numbers.  Every mode runs :data:`TRIALS` times, the mode order
+alternating between trials, and is timed by its fastest run, so the
+``--check`` gates do not read one run a busy host slowed.  Each JIT mode also reports which tier retired the
 instructions (``retired_share``: trace / block / interpreter).
 
 Reports are cumulative: ``BENCH_cpu_core.json`` keeps a timestamped
@@ -92,6 +104,11 @@ _ALU_PER_ITER = 8 * _ALU_REPEATS + 2
 _MEM_PER_ITER = 14
 _SHARED_PER_ITER = 5
 _CALL_PER_ITER = 7
+_LEAF2_PER_ITER = 6
+_STACK_PER_ITER = 13
+
+#: The call workloads' leaf body (``leaf2`` runs the first two).
+_LEAF = ("addi eax, 7", "xori ebx, 0x55AA", "add edx, eax")
 
 
 def _alu_source(iterations):
@@ -179,8 +196,8 @@ counter:
 """ % iterations
 
 
-def _call_source(iterations):
-    """Leaf-call loop: ``call``, three ALU ops, ``ret``, countdown."""
+def _call_source(iterations, leaf=3):
+    """Leaf-call loop: ``call``, ``leaf`` ALU ops, ``ret``, countdown."""
     return """\
 start:
 movi ecx, %d
@@ -190,9 +207,33 @@ subi ecx, 1
 jnz loop
 hlt
 work:
+%s
+ret
+""" % (iterations, "\n".join(_LEAF[:leaf]))
+
+
+def _stack_source(iterations):
+    """Call/push loop whose stack sits just below its code."""
+    return """\
+.space 64
+start:
+movi esp, start
+movi ecx, %d
+loop:
+call work
+push eax
+push ecx
+pop edx
+pop esi
+subi ecx, 1
+jnz loop
+hlt
+work:
+push ebx
 addi eax, 7
 xori ebx, 0x55AA
 add edx, eax
+pop ebx
 ret
 """ % iterations
 
@@ -200,8 +241,10 @@ ret
 def build_rig(fastpath, source=None, shared=False):
     """Assemble the workload into a CPU+EA-MPU rig; returns the CPU.
 
-    ``shared`` grants the code a write rule over the 256-byte granule
-    holding the image's last word (the ``shared`` workload's counter).
+    ``shared`` grants the code a write rule over one 256-byte code
+    granule: the one holding the image's last word (``True``; the
+    ``shared`` workload's counter) or its first (``"first"``; the
+    ``stack`` workload's stack).
     """
     memory = PhysicalMemory(MemoryMap())
     memory.map.cache_enabled = fastpath
@@ -257,7 +300,7 @@ def build_rig(fastpath, source=None, shared=False):
             ),
         )
     if shared:
-        granule = (CODE_BASE + len(blob) - 4) & ~0xFF
+        granule = CODE_BASE if shared == "first" else (CODE_BASE + len(blob) - 4) & ~0xFF
         mpu.program_slot(
             7,
             MpuRule("bench:shared", code[0], code[1], granule, granule + 0x100, Perm.RW),
@@ -338,6 +381,8 @@ def _workloads(instructions):
     irq_ticks = max(8, instructions // 200)
     shared_iters = max(1, instructions // _SHARED_PER_ITER)
     call_iters = max(1, instructions // _CALL_PER_ITER)
+    leaf2_iters = max(1, instructions // _LEAF2_PER_ITER)
+    stack_iters = max(1, instructions // _STACK_PER_ITER)
     return [
         (
             "alu",
@@ -377,15 +422,37 @@ def _workloads(instructions):
             False,
             False,
         ),
+        (
+            "leaf2",
+            "loop calling a two-instruction leaf (%d iterations)" % leaf2_iters,
+            _call_source(leaf2_iters, leaf=2),
+            False,
+            False,
+        ),
+        (
+            "stack",
+            "call/push loop, stack just below its code (%d iterations)" % stack_iters,
+            _stack_source(stack_iters),
+            False,
+            "first",
+        ),
     ]
+
+
+#: Timed runs per workload and mode.  Each trial runs every mode back
+#: to back, alternating the mode order between trials, and a mode's
+#: time is its fastest run: load from elsewhere on the host only ever
+#: slows a run, so one noisy run cannot flip a gate.
+TRIALS = 3
 
 
 def run_bench(instructions=150_000, blocks=True, traces=True):
     """Run every workload in every mode; returns the result dict.
 
     ``blocks=False`` drops both JIT tiers; ``traces=False`` keeps the
-    block tier but ablates the trace JIT.  Raises
-    :class:`AssertionError` if any two modes of one workload disagree
+    block tier but ablates the trace JIT.  Every mode runs
+    :data:`TRIALS` times and is timed by its fastest run.  Raises
+    :class:`AssertionError` if any two runs of one workload disagree
     on any architectural outcome.
     """
     if not blocks:
@@ -397,35 +464,43 @@ def run_bench(instructions=150_000, blocks=True, traces=True):
     workloads = {}
     for name, description, source, irq, shared in _workloads(instructions):
         reference = None
+        seconds = {mode: [] for mode in modes}
+        stats = {}
+        for trial in range(TRIALS):
+            for mode in modes if trial % 2 == 0 else modes[::-1]:
+                cpu, timer = _build_mode_rig(source, mode, irq=irq, shared=shared)
+                seconds[mode].append(_run(cpu, timer))
+                snap = _snapshot(cpu, timer)
+                if reference is None:
+                    reference = (mode, snap)
+                elif snap != reference[1]:
+                    diverged = sorted(
+                        key for key in snap if snap[key] != reference[1][key]
+                    )
+                    raise AssertionError(
+                        "%s: modes %r and %r diverged on %s"
+                        % (name, reference[0], mode, ", ".join(diverged))
+                    )
+                if mode != "baseline":
+                    stats[mode] = cpu.cache_stats()
+        retired = reference[1]["retired"]
         entry = {"description": description, "modes": {}}
         for mode in modes:
-            cpu, timer = _build_mode_rig(source, mode, irq=irq, shared=shared)
-            seconds = _run(cpu, timer)
-            snap = _snapshot(cpu, timer)
-            if reference is None:
-                reference = (modes[0], snap)
-            elif snap != reference[1]:
-                diverged = sorted(
-                    key for key in snap if snap[key] != reference[1][key]
-                )
-                raise AssertionError(
-                    "%s: modes %r and %r diverged on %s"
-                    % (name, reference[0], mode, ", ".join(diverged))
-                )
+            fastest = min(seconds[mode])
             result = {
-                "seconds": round(seconds, 6),
-                "insns_per_sec": round(snap["retired"] / seconds, 1),
+                "seconds": round(fastest, 6),
+                "trial_seconds": [round(value, 6) for value in seconds[mode]],
+                "insns_per_sec": round(retired / fastest, 1),
             }
-            if mode != "baseline":
-                result["cache_stats"] = cpu.cache_stats()
-            if cpu.block_engine is not None:
-                retired = result["cache_stats"]["block"]["retired"]
-                result["retired_share"] = {
-                    tier: round(count / snap["retired"], 4)
-                    for tier, count in retired.items()
-                }
+            if mode in stats:
+                result["cache_stats"] = stats[mode]
+                if "block" in stats[mode]:
+                    result["retired_share"] = {
+                        tier: round(count / retired, 4)
+                        for tier, count in stats[mode]["block"]["retired"].items()
+                    }
             entry["modes"][mode] = result
-        entry["retired"] = reference[1]["retired"]
+        entry["retired"] = retired
         entry["simulated_cycles"] = reference[1]["cycles"]
         if irq:
             entry["timer_ticks"] = reference[1]["ticks"]
@@ -454,28 +529,45 @@ def run_bench(instructions=150_000, blocks=True, traces=True):
     return {
         "bench": "cpu_core",
         "instructions": instructions,
+        "trials": TRIALS,
         "modes": list(modes),
         "workloads": workloads,
     }
 
 
 def run_cfa_bench(instructions=150_000):
-    """Path-recording overhead: the alu workload, recording off vs on.
+    """Path-recording overhead: the alu and call workloads, recording
+    off vs on.
 
-    Runs the straight-line ALU loop in every mode twice - once bare and
-    once with a :class:`~repro.cfa.recorder.CfaCore` folding every taken
-    transfer into the path hash - and reports the wall-clock insns/sec
-    cost of recording per tier, plus the modelled cycle cost (the
-    per-edge charge the interpreter pays and the trace tier bakes into
-    its closed-form bodies).  The run doubles as the cross-tier evidence
-    gate: all four recording runs must retire the same count, charge the
-    same cycles, and chain to the same path digest - divergence means a
-    JIT's baked hash updates drifted from the interpreter's.
+    Runs each workload in every mode twice - once bare and once with a
+    :class:`~repro.cfa.recorder.CfaCore` folding every taken transfer
+    into the path hash - and reports the wall-clock insns/sec cost of
+    recording per tier, plus the modelled cycle cost (the per-edge
+    charge the interpreter pays and the trace tier bakes into its
+    bodies).  ``alu`` records one back edge per iteration (the
+    closed-form ``record_run`` path); ``call`` records a call, a return
+    and a back edge per iteration, through the recorder its trace bound
+    at compile time and ``record_cycle``.  The run doubles as the
+    cross-tier evidence gate: all four recording runs of a workload
+    must retire the same count, charge the same cycles, and chain to
+    the same path digest - divergence means a JIT's baked recording
+    drifted from the interpreter's.
     """
+    sources = {
+        "alu": _alu_source(max(1, instructions // _ALU_PER_ITER)),
+        "call": _call_source(max(1, instructions // _CALL_PER_ITER)),
+    }
+    return {
+        "bench": "cfa_overhead",
+        "instructions": instructions,
+        "workloads": {name: _cfa_workload(name, source) for name, source in sources.items()},
+    }
+
+
+def _cfa_workload(name, source):
+    """One workload of :func:`run_cfa_bench`, every mode, off and on."""
     from repro.cfa.recorder import CfaCore, PathRecorder
 
-    iters = max(1, instructions // _ALU_PER_ITER)
-    source = _alu_source(iters)
     modes_out = {}
     reference = None
     off_reference = None
@@ -495,8 +587,8 @@ def run_cfa_bench(instructions=150_000):
             if recording:
                 if state != off_state:
                     raise AssertionError(
-                        "cfa: %s architectural state differs with recording on"
-                        % mode
+                        "cfa %s: %s architectural state differs with recording on"
+                        % (name, mode)
                     )
             else:
                 off_state = state
@@ -512,8 +604,8 @@ def run_cfa_bench(instructions=150_000):
         on_retired, on_cycles, on_seconds = timings[True]
         if off_retired != on_retired:
             raise AssertionError(
-                "cfa: %s retired %d recording vs %d bare"
-                % (mode, on_retired, off_retired)
+                "cfa %s: %s retired %d recording vs %d bare"
+                % (name, mode, on_retired, off_retired)
             )
         if reference is None:
             reference = (mode, evidence)
@@ -521,13 +613,13 @@ def run_cfa_bench(instructions=150_000):
         else:
             if evidence != reference[1]:
                 raise AssertionError(
-                    "cfa: modes %r and %r diverged on recorded evidence"
-                    % (reference[0], mode)
+                    "cfa %s: modes %r and %r diverged on recorded evidence"
+                    % (name, reference[0], mode)
                 )
             if (off_retired, off_cycles) != off_reference[1]:
                 raise AssertionError(
-                    "cfa: modes %r and %r diverged on the bare run"
-                    % (off_reference[0], mode)
+                    "cfa %s: modes %r and %r diverged on the bare run"
+                    % (name, off_reference[0], mode)
                 )
         off_rate = round(off_retired / off_seconds, 1)
         on_rate = round(on_retired / on_seconds, 1)
@@ -539,9 +631,6 @@ def run_cfa_bench(instructions=150_000):
     digest, edges, on_cycles, retired = reference[1]
     off_cycles = off_reference[1][1]
     return {
-        "bench": "cfa_overhead",
-        "workload": "alu",
-        "instructions": instructions,
         "retired": retired,
         "edges": edges,
         "path_digest": digest,
@@ -574,27 +663,30 @@ def write_cfa_report(
             json.dump(report, handle, indent=2, sort_keys=True)
             handle.write("\n")
     if out is not None:
-        for mode in MODES:
-            entry = result["modes"][mode]
+        for name, workload in result["workloads"].items():
+            for mode in MODES:
+                entry = workload["modes"][mode]
+                print(
+                    "cfa %-4s %-8s: %9.0f -> %9.0f insns/sec (%.1f%% recording overhead)"
+                    % (
+                        name,
+                        mode,
+                        entry["off_insns_per_sec"],
+                        entry["on_insns_per_sec"],
+                        entry["recording_overhead_pct"],
+                    ),
+                    file=out,
+                )
             print(
-                "cfa %-8s: %9.0f -> %9.0f insns/sec (%.1f%% recording overhead)"
+                "cfa %-4s evidence: %d edges, digest %s, +%.2f%% simulated cycles"
                 % (
-                    mode,
-                    entry["off_insns_per_sec"],
-                    entry["on_insns_per_sec"],
-                    entry["recording_overhead_pct"],
+                    name,
+                    workload["edges"],
+                    workload["path_digest"][:16],
+                    workload["cycle_overhead_pct"],
                 ),
                 file=out,
             )
-        print(
-            "cfa evidence: %d edges, digest %s, +%.2f%% simulated cycles"
-            % (
-                result["edges"],
-                result["path_digest"][:16],
-                result["cycle_overhead_pct"],
-            ),
-            file=out,
-        )
         if record:
             print("report: %s" % path, file=out)
         else:

@@ -27,8 +27,9 @@ individual blocks are invalidated by the same write-snoop port the
 decoded-instruction cache uses (byte-precise over each block's
 ``[start, end)`` code span, checked and raw writes alike).  Addresses
 where discovery cannot form a worthwhile block are remembered as
-*no-block markers* so dispatch stays a single dict probe; a marker is
-dropped by any write on the page(s) it spans.
+*no-block markers* so dispatch stays a single dict probe; a marker spans
+the bytes discovery read (``[start, end)``, up to the opcode byte of
+the instruction that stopped it) and is dropped by any write on them.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from repro.hw.memory import RamRegion
 from repro.isa.encoding import decode
 from repro.isa.opcodes import BASE_CYCLES, CONDITIONAL_BRANCHES, LENGTHS, Op
 from repro.obs.counters import HitMissCounter
-from repro.perf.spans import SpanIndex, page_span
+from repro.perf.spans import SpanIndex
 
 #: Longest instruction encoding; discovery reads this many bytes.
 _MAX_INSN_BYTES = max(LENGTHS.values())
@@ -52,12 +53,19 @@ MAX_BLOCK_INSNS = 64
 
 #: Blocks shorter than this are not worth the dispatch overhead; the
 #: address gets a no-block marker instead.
-MIN_BLOCK_INSNS = 3
+MIN_BLOCK_INSNS = 2
 
 #: Dispatch misses at one address before it is considered hot enough to
 #: translate (cold straight-line code is visited once per address and
 #: never translated; loop heads reach the threshold on re-entry).
 HOT_THRESHOLD = 2
+
+#: Dispatch misses before a block of only :data:`MIN_BLOCK_INSNS`
+#: instructions is translated.  Such a block saves about 5 us per run
+#: over interpreting it and costs about 220 us to compile (2-vCPU host),
+#: so it must run about this often to repay its compile; code that runs
+#: a handful of times (a fleet device's boot, say) never pays for it.
+SHORT_HOT_THRESHOLD = 40
 
 #: Bound on the visit-count table (cleared wholesale when exceeded).
 HEAT_LIMIT = 65_536
@@ -210,8 +218,8 @@ class BlockCache:
     """Entry-EIP -> :class:`SuperBlock`, snooped and epoch-flushed.
 
     Mirrors the decoded-instruction cache's invalidation contract:
-    every bus write (checked or raw) drops the blocks whose code bytes
-    ``[start, end)`` it overlaps (markers: any byte of their pages), and
+    every bus write (checked or raw) drops the blocks (and markers)
+    whose code bytes ``[start, end)`` it overlaps, and
     marks them invalid so a block that is *currently executing* aborts
     at its next store.  ``stats.invalidations`` counts one per entry a
     write drops, plus one per epoch flush.
@@ -222,6 +230,10 @@ class BlockCache:
         self._spans = SpanIndex()
         #: Dispatch-miss visit counts (the hot-threshold heuristic).
         self.heat = {}
+        #: Addresses whose shortest-size block was deferred once.
+        self.short = set()
+        #: Entry EIPs of the cached no-block markers.
+        self.markers = set()
         #: EA-MPU rule-table epoch the cached blocks were built under
         #: (``None`` until the first sync; blocks survive exactly one
         #: epoch, like the decision cache's memoized verdicts).
@@ -234,8 +246,11 @@ class BlockCache:
     def put(self, block):
         """Register ``block`` (or marker) for dispatch and snooping."""
         self.entries[block.start] = block
-        span = (block.start, block.end)
-        self._spans.add(block.start, (span if block.insns else page_span(*span),))
+        self._spans.add(block.start, ((block.start, block.end),))
+        if block.insns:
+            self.markers.discard(block.start)
+        else:
+            self.markers.add(block.start)
 
     def note_write(self, address, size):
         """Snoop a write; drop every block whose code bytes it overlaps."""
@@ -244,6 +259,7 @@ class BlockCache:
             entries = self.entries
             for eip in dropped:
                 entries.pop(eip).valid = False
+                self.markers.discard(eip)
             self.stats.invalidations += len(dropped)
 
     def flush(self):
@@ -251,6 +267,7 @@ class BlockCache:
         for block in self.entries.values():
             block.valid = False
         self.entries.clear()
+        self.markers.clear()
         self._spans.clear()
         self.stats.invalidations += 1
 
@@ -264,4 +281,19 @@ class BlockCache:
         if len(heat) >= HEAT_LIMIT:
             heat.clear()
         heat[eip] = count
+        return False
+
+    def note_short(self, eip):
+        """A hot ``eip`` starts a block of only :data:`MIN_BLOCK_INSNS`
+        instructions; returns True once it has missed
+        :data:`SHORT_HOT_THRESHOLD` times in all (the first call defers
+        it by re-arming its heat)."""
+        short = self.short
+        if eip in short:
+            short.discard(eip)
+            return True
+        if len(short) >= HEAT_LIMIT:
+            short.clear()
+        short.add(eip)
+        self.heat[eip] = HOT_THRESHOLD - SHORT_HOT_THRESHOLD
         return False

@@ -32,7 +32,12 @@ class TraceCounters:
     * ``slab_loads`` / ``slab_stores`` (32-bit) and their ``_u16`` /
       ``_u8`` twins - translated memory accesses served by direct slab
       indexing (hits) vs. the checked slow path, a misaligned-access
-      bail, or the write-snoop broadcast path (misses).
+      bail, or the write-snoop broadcast path (misses);
+    * ``broadcasts`` / ``broadcasts_wasted`` - compiled-body stores
+      (trace and block bodies) whose bytes overlapped a granule's code
+      hull and so took the broadcast write path, and those of them that
+      dropped nothing in any code cache: snoop work that bought
+      nothing, next to the caches' invalidation counts.
     """
 
     __slots__ = (
@@ -48,6 +53,8 @@ class TraceCounters:
         "slab_stores_u16",
         "slab_loads_u8",
         "slab_stores_u8",
+        "broadcasts",
+        "broadcasts_wasted",
     )
 
     def __init__(self):
@@ -63,6 +70,8 @@ class TraceCounters:
         self.slab_stores_u16 = HitMissCounter("slab-store-u16")
         self.slab_loads_u8 = HitMissCounter("slab-load-u8")
         self.slab_stores_u8 = HitMissCounter("slab-store-u8")
+        self.broadcasts = Counter("jit-store-broadcasts")
+        self.broadcasts_wasted = Counter("jit-store-broadcasts-wasted")
 
     def all(self):
         """Every counter, for registration with an obs registry."""
@@ -79,6 +88,8 @@ class TraceCounters:
             self.slab_stores_u16,
             self.slab_loads_u8,
             self.slab_stores_u8,
+            self.broadcasts,
+            self.broadcasts_wasted,
         ]
 
     def snapshot(self):
@@ -98,6 +109,10 @@ class TraceCounters:
             "slab_store_u16": self.slab_stores_u16.snapshot(),
             "slab_load_u8": self.slab_loads_u8.snapshot(),
             "slab_store_u8": self.slab_stores_u8.snapshot(),
+            "broadcast": {
+                "stores": self.broadcasts.value,
+                "wasted": self.broadcasts_wasted.value,
+            },
         }
 
 

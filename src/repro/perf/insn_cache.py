@@ -2,8 +2,10 @@
 
 Decoding allocates a fresh :class:`~repro.isa.encoding.Instruction` on
 every fetch; for loops that is pure waste.  The cache maps EIP to the
-decoded object and snoops **every** memory write (checked or raw - both
-funnel through :meth:`repro.hw.memory.PhysicalMemory.write_raw`) so that
+decoded object and snoops every memory write onto cached code (checked
+or raw - both funnel through
+:meth:`repro.hw.memory.PhysicalMemory.write_raw`, which skips writes
+that miss the code hulls its owner records there) so that
 self-modifying code, task loads, and live updates are re-decoded.
 
 Invalidation is byte-precise: each cached instruction registers the

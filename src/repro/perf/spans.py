@@ -1,4 +1,4 @@
-"""Byte-precise write-snoop index shared by the three code caches.
+"""Byte-precise write snooping shared by the three code caches.
 
 The decoded-instruction cache, the block cache and the trace cache all
 hold translations of code bytes, and each must drop a translation as
@@ -15,9 +15,16 @@ A store to data beside code therefore leaves that code's translations
 alone, while a store onto a code byte still drops (and, through the
 owning cache, invalidates) every translation built from it.
 
-Entries whose verdict depends on more than their own bytes - the
-no-block and no-trace markers - register whole pages
-(:func:`page_span`), so any write on those pages drops them.
+The no-block and no-trace markers register the bytes their verdict
+read, like any other entry.  A marker never executes code, so a write
+that changes its verdict without touching those bytes only costs a
+missed retry, never architectural state.
+
+The store side is the same test one level up: every registered span
+also lands in :attr:`repro.hw.memory.PhysicalMemory.snoop_hulls`, and
+compiled stores write the slab directly unless :func:`store_probe`
+finds their bytes inside their granule's hull - only those stores take
+the broadcast ``write_raw`` path this index is probed from.
 """
 
 from __future__ import annotations
@@ -25,11 +32,18 @@ from __future__ import annotations
 from repro.hw.memory import SNOOP_PAGE_SHIFT as PAGE_SHIFT
 
 
-def page_span(start, end):
-    """The whole-page span covering ``[start, end)`` (marker entries)."""
-    return (
-        (start >> PAGE_SHIFT) << PAGE_SHIFT,
-        (((end - 1) >> PAGE_SHIFT) + 1) << PAGE_SHIFT,
+def store_probe(ea, size):
+    """Generated-code test: does a ``size``-byte store at ``ea`` overlap
+    cached code?
+
+    ``ea`` is a local or literal holding an address aligned to ``size``
+    (so the store never crosses a granule), and the generated body
+    binds ``S = memory.snoop_hulls``.  True exactly when the store's
+    bytes ``[ea, ea + size)`` overlap the hull ``(lo, hi)`` of its
+    granule: ``lo - size < ea < hi``.
+    """
+    return "%s >> %d in S and (h := S[%s >> %d])[0] - %d < %s < h[1]" % (
+        ea, PAGE_SHIFT, ea, PAGE_SHIFT, size, ea,
     )
 
 
@@ -93,8 +107,15 @@ class SpanIndex:
         if not pages or size <= 0:
             return ()
         end = address + size
+        first = address >> PAGE_SHIFT
+        last = (end - 1) >> PAGE_SHIFT
+        if first == last:
+            # One page, the common case: miss it with one probe.
+            bucket = pages.get(first)
+            if bucket is None or end <= bucket[0] or bucket[1] <= address:
+                return ()
         taken = []
-        for page in range(address >> PAGE_SHIFT, ((end - 1) >> PAGE_SHIFT) + 1):
+        for page in range(first, last + 1):
             bucket = pages.get(page)
             if bucket is None or end <= bucket[0] or bucket[1] <= address:
                 continue

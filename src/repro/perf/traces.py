@@ -64,12 +64,26 @@ that used to single-step now runs at trace speed.
 
 Invalidation mirrors the block cache: byte-precise write snooping over
 the code bytes of every stitched item (checked and raw writes alike)
-plus a wholesale flush when the EA-MPU rule-table epoch moves.  A store
-issued from *inside* a running trace that lands in a snooped page takes
-the broadcast ``write_raw`` path; the trace aborts at the next
-instruction boundary only when the store overwrote one of its own code
-bytes (self-modifying code) - a store to data beside the code leaves it
-running.
+plus a wholesale flush when the EA-MPU rule-table epoch moves.  A
+refused head is remembered by a no-trace marker over exactly the bytes
+the failed build read.  A store issued from *inside* a running trace
+writes the slab directly unless its bytes overlap the hull of cached
+code on its 256-byte granule (:func:`repro.perf.spans.store_probe`);
+only then does it take the broadcast ``write_raw`` path, and the trace
+aborts at the next instruction boundary only when the store overwrote
+one of its own code bytes (self-modifying code).  So a stack push or a
+data store beside code - even another task's code on the same granule
+- stays on the slab.
+
+Control-flow attestation is bound at compile time: each stitched edge
+the CFA monitor records is resolved to its
+:class:`~repro.cfa.recorder.PathRecorder` and region-relative offsets
+when the trace is built (valid until the enrolment generation moves,
+which flushes the cache).  Bodies record nothing inside the loop; every
+exit records the completed iterations with one
+:meth:`~repro.cfa.recorder.PathRecorder.record_cycle` and then the
+partial iteration's edges - exactly the stream the interpreter would
+have produced, including when a checked access faults mid-body.
 """
 
 from __future__ import annotations
@@ -85,7 +99,7 @@ from repro.cycles import CFA_EDGE_CYCLES, INSN_BRANCH_TAKEN
 from repro.perf.blocks import ALU_OPS, MEM_OPS, discover
 from repro.obs.counters import HitMissCounter
 from repro.perf.counters import TraceCounters
-from repro.perf.spans import SpanIndex, page_span
+from repro.perf.spans import SpanIndex, store_probe
 
 _M = 0xFFFFFFFF
 _SIGN = 0x80000000
@@ -192,7 +206,7 @@ class Trace:
         #: the single slot into a slow call every iteration.
         self.windows2 = []
         #: Code byte spans ``(lo, hi)`` of the stitched items (a marker
-        #: spans its head's whole page).
+        #: spans the bytes its failed build read).
         self.spans = ()
         #: Cleared by the write snoop; checked after broadcast stores.
         self.valid = True
@@ -208,13 +222,15 @@ class Trace:
         #: Cumulative cycle cost at each countdown checkpoint, in body
         #: order (strictly increasing; the admission table).
         self.checkpoints = ()
-        #: Item indices whose stitched taken transfer is recorded by
-        #: the CFA monitor (both endpoints inside an enrolled region at
-        #: build time).  The compiled bodies emit the same hash update
-        #: the interpreter performs, and the per-edge cost is baked
-        #: into ``iter_cost``/``checkpoints``; the generation check in
-        #: the block engine flushes traces when enrolment changes.
-        self.cfa = frozenset()
+        #: Item index -> ``(recorder, src, dst)`` for every stitched
+        #: taken transfer the CFA monitor records (both endpoints inside
+        #: an enrolled region at build time), bound by ``CfaCore.bind``.
+        #: The compiled bodies call that recorder with the same
+        #: region-relative edge the interpreter records, and the
+        #: per-edge cost is baked into ``iter_cost``/``checkpoints``;
+        #: the generation check in the block engine flushes traces when
+        #: enrolment changes.
+        self.cfa = {}
         self.source = None
 
     def is_marker(self):
@@ -359,7 +375,19 @@ def _decode_at(memory, pc):
         return None
 
 
-def build_trace(memory, head, profile, cfa=None):
+def _merged(spans):
+    """``spans`` sorted, with overlapping or adjacent spans merged."""
+    out = []
+    for lo, hi in sorted(spans):
+        if out and lo <= out[-1][1]:
+            if hi > out[-1][1]:
+                out[-1] = (out[-1][0], hi)
+        else:
+            out.append((lo, hi))
+    return tuple(out)
+
+
+def build_trace(memory, head, profile, cfa=None, examined=None):
     """Stitch the hot path starting at ``head``; returns Trace or None.
 
     Every hoisted verdict consulted here (execute probes inside
@@ -369,11 +397,16 @@ def build_trace(memory, head, profile, cfa=None):
     epoch moves, which is what makes building-time hoisting sound.
 
     ``cfa`` is the CPU's CFA monitor port (or ``None``): stitched taken
-    transfers it covers are flagged on ``trace.cfa`` so codegen emits
-    the matching hash updates, and their modelled cost joins the static
-    cycle totals.  The flags are valid for exactly one CFA enrolment
-    generation, enforced the same way as the MPU epoch (cache flush on
-    generation change in the block engine's dispatch).
+    transfers it records are bound on ``trace.cfa`` to their recorder
+    and region-relative edge, so codegen emits the matching recorder
+    calls, and their modelled cost joins the static cycle totals.  The
+    bindings are valid for exactly one CFA enrolment generation,
+    enforced the same way as the MPU epoch (cache flush on generation
+    change in the block engine's dispatch).
+
+    ``examined``, when a list, receives the code byte spans the builder
+    read, merged; a refused head's no-trace marker snoops exactly
+    those.
     """
     mpu = memory.mpu
     decisions = mpu.decisions if mpu is not None else None
@@ -388,6 +421,7 @@ def build_trace(memory, head, profile, cfa=None):
     exit_eip = None
     total = 0
     segments = 0
+    reads = []  # code byte spans decoded so far
     while True:
         # Keyed with the predicted return stack: a leaf called twice
         # per iteration is two contexts, not an inner cycle.
@@ -398,6 +432,8 @@ def build_trace(memory, head, profile, cfa=None):
         seen.add(key)
         segment = discover(memory, pc, min_insns=1)
         end = segment.end if segment.insns else pc
+        if end > pc:
+            reads.append((pc, end))
         for address, insn in segment.insns:
             items.append(("insn", address, insn))
         total += len(segment.insns)
@@ -406,6 +442,7 @@ def build_trace(memory, head, profile, cfa=None):
             exit_eip = end
             break
         ender = _decode_at(memory, end)
+        reads.append((end, end + (ender.length if ender is not None else 1)))
         if ender is None or ender.opcode not in STITCHABLE:
             exit_eip = end
             break
@@ -452,18 +489,21 @@ def build_trace(memory, head, profile, cfa=None):
             looping = True
             break
         pc = chosen
-    if total < MIN_TRACE_INSNS:
+    if total < MIN_TRACE_INSNS or not any(item[0] != "insn" for item in items):
+        # Too short, or a single unstitched segment (the block tier's job).
+        if examined is not None:
+            examined.extend(_merged(reads))
         return None
-    if not any(item[0] != "insn" for item in items):
-        return None  # a single unstitched segment is the block tier's job
     trace = Trace(head, tuple(items), looping, None if looping else exit_eip)
-    flagged = set()
+    flagged = {}
     if cfa is not None:
         for idx, item in enumerate(items):
             target = _taken_target(item)
-            if target is not None and cfa.covers(item[1], target):
-                flagged.add(idx)
-    trace.cfa = frozenset(flagged)
+            if target is not None:
+                binding = cfa.bind(item[1], target)
+                if binding is not None:
+                    flagged[idx] = binding
+    trace.cfa = flagged
     trace.iter_cost = sum(
         _item_cost(idx, item, flagged) for idx, item in enumerate(items)
     )
@@ -1126,6 +1166,25 @@ def generate_trace(trace, fast=False, prefix=False):
     #: window bounds/view/base are hoisted into per-site locals once
     #: per dispatch (refreshed whenever a slow path installs a window).
     hoist = looping and has_mem and not fast
+    #: Bound CFA edges of this body, ``(idx, recorder, src, dst)`` in
+    #: item order, and each recorder's per-iteration edge pattern.  The
+    #: body records nothing as it goes: every exit records what it has
+    #: committed (see ``emit_cfa``).
+    recorders = _trace_recorders(trace)
+    edges = [
+        (idx, recorders.index(binding[0]), binding[1], binding[2])
+        for idx, binding in sorted(trace.cfa.items())
+        if idx < len(items)
+    ]
+    patterns = [
+        tuple((src, dst) for _, r, src, dst in edges if r == i)
+        for i in range(len(recorders))
+    ]
+    #: A checked access can raise mid-body; the edges committed before
+    #: it are then recorded by an exception handler around the body,
+    #: from ``j`` (the bound edges passed, set before each checked
+    #: call; -1 once an exit has recorded them itself).
+    guard_faults = bool(edges) and has_mem
     out = _Source()
     name = (
         "__trace_prefix__" if prefix
@@ -1140,25 +1199,18 @@ def generate_trace(trace, fast=False, prefix=False):
         if load_sites and not fast:
             out.emit(1, "W2 = tr.windows2")
     if store_sites:
-        out.emit(1, "S = memory.snooped_pages")
+        out.emit(1, "S = memory.snoop_hulls")
     out.emit(1, "clock = cpu.clock")
-    if fast:
-        cfa_used = (len(trace.items) - 1) in trace.cfa
-    else:
-        cfa_used = bool(trace.cfa)
-    if cfa_used:
-        # Bound once per dispatch; the enrolment-generation flush in
-        # the block engine guarantees cpu.cfa is live whenever a body
-        # compiled with CFA flags runs.
-        out.emit(1, "CF = cpu.cfa")
     out.emit(1, "fl = regs.eflags")
     for j in sorted(used):
         out.emit(1, "r%d = r[%d]" % (j, j))
     if not fast:
         out.emit(1, "p = 0")
         out.emit(1, "ret = 0")
-        if looping and has_mem:
+        if looping and (has_mem or edges):
             out.emit(1, "n0 = n")
+        if guard_faults:
+            out.emit(1, "j = -1")
     if hoist:
         for site in range(sites):
             out.emit(1, "w = W[%d]" % site)
@@ -1187,7 +1239,7 @@ def generate_trace(trace, fast=False, prefix=False):
             if mask:
                 cond += " or e & %d" % mask
             if is_store:
-                cond += " or e >> 8 in S"
+                cond += " or (%s)" % store_probe("e", width)
             out.emit(1, "if %s:" % cond)
             out.emit(2, "return False")
             out.emit(1, "m%d = w[2]" % site)
@@ -1195,6 +1247,7 @@ def generate_trace(trace, fast=False, prefix=False):
                 out.emit(1, "i%d = (e >> %d) - w[3]" % (site, shift))
             else:
                 out.emit(1, "i%d = e - w[3]" % site)
+    body_start = len(out.lines)
     if fast:
         out.emit(1, "for _ in range(n):")
         loop_top = len(out.lines)
@@ -1259,13 +1312,38 @@ def generate_trace(trace, fast=False, prefix=False):
         out.emit(ind, "if q:")
         out.emit(ind + 1, "clock.charge(q)")
         emit_slab_hits(ind, kl, ks)
+        emit_cfa(ind)
         out.emit(ind, "regs.eip = %d" % eip)
         if jump is not None:
-            out.emit(ind, "cpu._jump(%d)" % jump)
+            emit_jump(ind, jump)
             out.emit(ind, "cpu.retired += 1")
         if guard:
             out.emit(ind, "ge()")
         out.emit(ind, "return")
+
+    def emit_cfa(ind, completed=None):
+        """Record the bound CFA edges an exit at this point committed:
+        a looping body's completed iterations (one ``record_cycle`` per
+        recorder), then the current iteration's first ``E`` edges.
+        ``completed`` overrides the mid-iteration count (the natural
+        loop end passes ``"n0"`` with ``E`` = 0)."""
+        if looping:
+            for r, pattern in enumerate(patterns):
+                if pattern:
+                    out.emit(
+                        ind,
+                        "R%d.record_cycle(%r, %s)" % (r, pattern, completed or "n0 - n - 1"),
+                    )
+        for _, r, src, dst in edges[:E]:
+            out.emit(ind, "R%d.record(%d, %d)" % (r, src, dst))
+
+    def emit_jump(ind, target):
+        """Finish a stitched call through the interpreter's transfer
+        tail (which records the call edge itself, and may fault after
+        this exit recorded the edges before it)."""
+        if guard_faults:
+            out.emit(ind, "j = -1")
+        out.emit(ind, "cpu._jump(%d)" % target)
 
     def slow_entry(ind, address, base_c, ret_k, cyc):
         """Bit-identical single-step state before a checked bus access."""
@@ -1282,6 +1360,8 @@ def generate_trace(trace, fast=False, prefix=False):
         out.emit(ind, "regs.eip = %d" % address)
         out.emit(ind, "regs.eflags = fl")
         emit_writebacks(ind)
+        if guard_faults:
+            out.emit(ind, "j = %d" % E)
 
     def win_cond(site, width, ea):
         """Window-hit test (bounds + alignment) for memory site ``site``."""
@@ -1407,8 +1487,8 @@ def generate_trace(trace, fast=False, prefix=False):
             em.emit("w = W[%d]" % site)
         em.emit("if %s:" % win_cond(site, size, ea))
         ind = em.indent + 1
-        out.emit(ind, "if %s >> 8 in S:" % ea)
-        out.emit(ind + 1, 'memory.write_raw(%s, %s.to_bytes(%d, "little"))' % (ea, bytes_of, size))
+        out.emit(ind, "if %s:" % store_probe(ea, size))
+        out.emit(ind + 1, 'bcast(%s, %s.to_bytes(%d, "little"))' % (ea, bytes_of, size))
         out.emit(ind + 1, "SS%d.misses += 1" % size)
         out.emit(ind + 1, "SS%d.hits -= 1" % size)
         out.emit(ind + 1, "if not tr.valid:")
@@ -1426,8 +1506,9 @@ def generate_trace(trace, fast=False, prefix=False):
         out.emit(ind, "SS%d.misses += 1" % size)
         out.emit(ind, "if not ram or not tr.valid:")
         emit_slab_hits(ind + 1, dict(KL), dict(KS))
+        emit_cfa(ind + 1)
         if call:
-            out.emit(ind + 1, "cpu._jump(%d)" % nxt)
+            emit_jump(ind + 1, nxt)
         else:
             out.emit(ind + 1, "regs.eip = %d" % nxt)
         out.emit(ind + 1, "cpu.retired += 1")
@@ -1438,6 +1519,7 @@ def generate_trace(trace, fast=False, prefix=False):
 
     K = 0  # instructions retired before the current item (one iteration)
     C = 0  # cycles accrued before the current item (one iteration)
+    E = 0  # bound CFA edges committed before the current item
     KL = {1: 0, 2: 0, 4: 0}  # load sites passed so far, by width
     KS = {1: 0, 2: 0, 4: 0}  # store sites passed so far, by width
     k = 0  # memory-site index (window slot)
@@ -1506,10 +1588,10 @@ def generate_trace(trace, fast=False, prefix=False):
         if kind != "insn":
             # The transfer is committed (a guard or return guard that
             # failed exited above with it unexecuted, and the
-            # interpreter records it on re-execution): fold a taken one
-            # into the CFA path hash exactly as the interpreter would.
+            # interpreter records it on re-execution): a taken one the
+            # CFA monitor records now counts toward every later exit.
             if idx in trace.cfa:
-                em.emit("CF.record_edge(%d, %d)" % (address, _taken_target(item)))
+                E += 1
             K += 1
             C += _item_cost(idx, item, trace.cfa)
             emit_checkpoint(idx, item[4] if kind == "guard" else item[3])
@@ -1736,6 +1818,7 @@ def generate_trace(trace, fast=False, prefix=False):
             out.emit(ind, "if not ram:")
             out.emit(ind + 1, "r[%d] = v" % x)
             emit_slab_hits(ind + 1, dict(KL), dict(KS))
+            emit_cfa(ind + 1)
             out.emit(ind + 1, "regs.eip = %d" % nxt)
             out.emit(ind + 1, "return")
             out.emit(ind, "SL%d.hits -= 1" % size)
@@ -1809,6 +1892,7 @@ def generate_trace(trace, fast=False, prefix=False):
             if x != _ESP:
                 out.emit(ind + 1, "r[%d] = r%d" % (x, x))
             emit_slab_hits(ind + 1, dict(KL), dict(KS))
+            emit_cfa(ind + 1)
             out.emit(ind + 1, "regs.eip = %d" % nxt)
             out.emit(ind + 1, "return")
             out.emit(ind, "SL4.hits -= 1")
@@ -1845,12 +1929,16 @@ def generate_trace(trace, fast=False, prefix=False):
         out.emit(2, "fl |= 2048")
         out.emit(1, "cpu.retired += n * %d" % trace.iter_retire)
         out.emit(1, "clock.charge(n * %d)" % trace.iter_cost)
-        if cfa_used:
+        binding = trace.cfa.get(len(trace.items) - 1)
+        if binding is not None:
             # Each of the n elided closing guards was provably taken:
             # one bulk hash update, exactly equivalent to n single
             # records (the PathRecorder run-fold contract).
-            guard = trace.items[-1]
-            out.emit(1, "CF.record_edge_run(%d, %d, n)" % (guard[1], guard[4]))
+            out.emit(
+                1,
+                "R%d.record_run(%d, %d, n)"
+                % (recorders.index(binding[0]), binding[1], binding[2]),
+            )
         for width in _WIDTHS:
             if load_n[width]:
                 out.emit(1, "SL%d.hits += n * %d" % (width, load_n[width]))
@@ -1872,6 +1960,8 @@ def generate_trace(trace, fast=False, prefix=False):
         out.emit(1, "if p:")
         out.emit(2, "clock.charge(p)")
         emit_slab_hits(1, {}, {}, loop_end=True)
+        E = 0
+        emit_cfa(1, "n0")
         out.emit(1, "regs.eip = %d" % trace.start)
     else:
         # linear trace, or the linearized prefix body: a prefix body
@@ -1879,17 +1969,48 @@ def generate_trace(trace, fast=False, prefix=False):
         # path, so a looping trace's prefix ends back at the head.
         final_eip = trace.start if trace.looping else trace.exit_eip
         emit_exit(1, final_eip, K, C, dict(KL), dict(KS))
+    if guard_faults:
+        # A checked access raised: record the edges committed before
+        # it, then let the fault propagate as single-stepping would.
+        body = out.lines[body_start:]
+        out.lines[body_start:] = ["    try:"] + ["    " + line for line in body]
+        out.emit(1, "except BaseException:")
+        out.emit(2, "if j >= 0:")
+        if looping:
+            for r, pattern in enumerate(patterns):
+                if pattern:
+                    out.emit(3, "R%d.record_cycle(%r, n0 - n - 1)" % (r, pattern))
+        out.emit(
+            3,
+            "for rec, s_, d_ in (%s,)[:j]:"
+            % ", ".join("(R%d, %d, %d)" % (r, src, dst) for _, r, src, dst in edges),
+        )
+        out.emit(4, "rec.record(s_, d_)")
+        out.emit(2, "raise")
     return out.source()
 
 
-def _trace_namespace(counters):
-    """Globals shared by every generated trace body."""
+def _trace_recorders(trace):
+    """The distinct CFA recorders ``trace.cfa`` binds, in item order;
+    generated bodies name recorder ``i`` ``R<i>``."""
+    recorders = []
+    for idx in sorted(trace.cfa):
+        recorder = trace.cfa[idx][0]
+        if recorder not in recorders:
+            recorders.append(recorder)
+    return recorders
+
+
+def _trace_namespace(jit, trace):
+    """Globals of ``trace``'s generated bodies: the slow-path helpers,
+    the JIT's counters and broadcast store, and the bound recorders."""
     # Deferred import: repro.perf.translate imports this module at load
     # time (the engine owns the JIT), so the module-level direction of
     # the dependency has to stay one-way.
     from repro.perf.translate import _slow_load, _slow_return, _slow_store
 
-    return {
+    counters = jit.counters
+    namespace = {
         "slow_load": _slow_load,
         "slow_store": _slow_store,
         "slow_ret": _slow_return,
@@ -1901,17 +2022,21 @@ def _trace_namespace(counters):
         "SL1": counters.slab_loads_u8,
         "SS1": counters.slab_stores_u8,
         "ge": counters.guard_exits.add,
+        "bcast": jit.broadcast,
     }
+    for index, recorder in enumerate(_trace_recorders(trace)):
+        namespace["R%d" % index] = recorder
+    return namespace
 
 
-def translate_trace(trace, counters):
+def translate_trace(trace, jit):
     """Compile ``trace`` in place: fills ``run``, ``source``, ``windows``,
     ``checkpoints`` (and ``run_fast`` for provably counted loop bodies
     that are memory-free or whose every memory EA is loop-invariant,
     see :func:`_steady_plan`).  The prefix body compiles lazily on
     first prefix admission (:meth:`TraceJIT._compile_prefix`) - most
     traces never need one."""
-    namespace = _trace_namespace(counters)
+    namespace = _trace_namespace(jit, trace)
     source = generate_trace(trace)
     code = compile(source, "<trace@0x%X>" % trace.start, "exec")
     exec(code, namespace)
@@ -1953,6 +2078,25 @@ class TraceJIT:
         #: dispatch at a *different* address closes the edge.
         self.pending_edge = None
         cpu.memory.add_write_listener(self.cache.note_write)
+        #: Invalidation counters of every code cache a broadcast store
+        #: can drop entries from.
+        self._snooped = [engine.cache.stats, self.cache.stats]
+        if cpu.insn_cache is not None:
+            self._snooped.append(cpu.insn_cache.stats)
+
+    def broadcast(self, address, payload):
+        """A compiled-body store whose bytes overlap a granule's code
+        hull: the bus write every code cache snoops, counted, and
+        counted as wasted when it dropped nothing in any cache."""
+        before = 0
+        for stats in self._snooped:
+            before += stats.invalidations
+        self.cpu.memory.write_raw(address, payload)
+        self.counters.broadcasts.add()
+        for stats in self._snooped:
+            before -= stats.invalidations
+        if not before:
+            self.counters.broadcasts_wasted.add()
 
     def epoch_flush(self, reason="mpu-epoch"):
         """Drop all traces and profiles (EA-MPU rule-table epoch moved,
@@ -1975,19 +2119,20 @@ class TraceJIT:
         cache = self.cache
         if eip in cache.entries:
             return
-        trace = build_trace(memory, eip, self.profile, self.cpu.cfa)
+        examined = []
+        trace = build_trace(memory, eip, self.profile, self.cpu.cfa, examined)
         if trace is None:
-            # Remember the refusal, but snoop the head's page so the
-            # marker drops when the code there changes.
-            marker = Trace(eip, (), False, None)
-            marker.spans = (page_span(eip, eip + 1),)
-            cache.put(marker)
-            memory.note_snooped_range(*marker.spans[0])
-            return
-        translate_trace(trace, self.counters)
+            # Remember the refusal; the marker drops when a write lands
+            # on any byte the failed build read.
+            trace = Trace(eip, (), False, None)
+            trace.spans = tuple(examined) or ((eip, eip + 1),)
+        else:
+            translate_trace(trace, self)
         cache.put(trace)
         for lo, hi in trace.spans:
             memory.note_snooped_range(lo, hi)
+        if trace.is_marker():
+            return
         self.counters.compiles.add()
         obs = self.engine.obs
         if obs is not None:
@@ -2068,7 +2213,7 @@ class TraceJIT:
     def _compile_prefix(self, trace):
         """Lazily compile the horizon-split prefix body (most traces
         never need one, so :func:`translate_trace` skips it)."""
-        namespace = _trace_namespace(self.counters)
+        namespace = _trace_namespace(self, trace)
         source = generate_trace(trace, prefix=True)
         code = compile(source, "<trace-prefix@0x%X>" % trace.start, "exec")
         exec(code, namespace)

@@ -44,7 +44,16 @@ from __future__ import annotations
 from repro.hw.memory import RamRegion
 from repro.isa.opcodes import BASE_CYCLES, Op
 from repro.obs.counters import Counter
-from repro.perf.blocks import ALU_OPS, MEM_OPS, TRANSLATABLE_OPS, BlockCache, discover
+from repro.perf.blocks import (
+    ALU_OPS,
+    MEM_OPS,
+    MIN_BLOCK_INSNS,
+    TRANSLATABLE_OPS,
+    BlockCache,
+    SuperBlock,
+    discover,
+)
+from repro.perf.spans import store_probe
 from repro.perf.traces import STITCHABLE, TraceJIT
 
 _M = 0xFFFFFFFF
@@ -186,7 +195,7 @@ def generate(block):
         insn.opcode in (Op.ST, Op.STB, Op.STH, Op.PUSH, Op.PUSHI)
         for _, insn in insns
     ):
-        out.emit(1, "S = memory.snooped_pages")
+        out.emit(1, "S = memory.snoop_hulls")
     out.emit(1, "p = 0")
 
     #: reg index -> constant value (the runtime twin of the PR 3
@@ -389,9 +398,9 @@ def generate(block):
             else:
                 out.emit(1, "if w is not None and w[0] <= addr <= w[1]:")
             # An aligned access never crosses the 256-byte snoop page,
-            # so a single page probe decides broadcast vs. slab write.
-            out.emit(2, "if addr >> 8 in S:")
-            out.emit(3, 'memory.write_raw(addr, %s.to_bytes(%d, "little"))' % (value, size))
+            # so one hull probe decides broadcast vs. slab write.
+            out.emit(2, "if %s:" % store_probe("addr", size))
+            out.emit(3, 'bcast(addr, %s.to_bytes(%d, "little"))' % (value, size))
             out.emit(3, "p += %d" % base)
             out.emit(3, "cpu.retired += %d" % credit)
             out.emit(3, "if not blk.valid:")
@@ -429,8 +438,8 @@ def generate(block):
             out.emit(1, "w = W[%d]" % k)
             out.emit(1, "if w is not None and w[0] <= addr <= w[1] and not addr & 3:")
             out.emit(2, "r[%d] = addr" % _ESP)
-            out.emit(2, "if addr >> 8 in S:")
-            out.emit(3, 'memory.write_raw(addr, v.to_bytes(4, "little"))')
+            out.emit(2, "if %s:" % store_probe("addr", 4))
+            out.emit(3, 'bcast(addr, v.to_bytes(4, "little"))')
             out.emit(3, "p += %d" % base)
             out.emit(3, "cpu.retired += %d" % credit)
             out.emit(3, "if not blk.valid:")
@@ -492,10 +501,14 @@ def generate(block):
     return out.source()
 
 
-def translate(block):
-    """Compile ``block`` in place: fills ``run``, ``source``, ``windows``."""
+def translate(block, broadcast):
+    """Compile ``block`` in place: fills ``run``, ``source``, ``windows``.
+
+    ``broadcast(address, payload)`` performs a store whose bytes overlap
+    cached code (``write_raw``, or the trace tier's counting wrapper).
+    """
     source = generate(block)
-    namespace = {"slow_load": _slow_load, "slow_store": _slow_store}
+    namespace = {"slow_load": _slow_load, "slow_store": _slow_store, "bcast": broadcast}
     code = compile(source, "<block@0x%X>" % block.start, "exec")
     exec(code, namespace)
     block.windows = [None] * sum(
@@ -699,6 +712,17 @@ class BlockEngine:
         #: The trace tier (PR 6) stacked on top of the block tier, or
         #: ``None`` when disabled (``--no-traces`` ablation).
         self.traces = TraceJIT(self, cpu) if traces else None
+        #: Addresses the CPU interprets without asking this engine: the
+        #: no-block markers, unless the trace tier must see every
+        #: dispatch (its edge profile and trace heads).  Refusing is
+        #: always safe, so a marker made stale by an epoch move only
+        #: costs a missed block until the next dispatch here flushes it.
+        self.refused = self.cache.markers if self.traces is None else frozenset()
+        #: Compiled-body store onto cached code: the trace tier's
+        #: counting broadcast, or the bare bus write without it.
+        self.broadcast = (
+            self.traces.broadcast if self.traces is not None else cpu.memory.write_raw
+        )
 
     def counters(self):
         """All counters, for registration with an obs registry."""
@@ -761,7 +785,7 @@ class BlockEngine:
                 cache.epoch = mpu.epoch
         generation = 0 if cpu.cfa is None else cpu.cfa.generation
         if generation != self._cfa_generation:
-            # Cached trace bodies bake the CFA hash updates of the
+            # Cached trace bodies bake the CFA recorders of the
             # enrolment set they were compiled under; an enrol/unenrol
             # invalidates them (blocks contain no transfers, so the
             # block cache is unaffected).
@@ -799,16 +823,18 @@ class BlockEngine:
             if block is not None:
                 return None  # no-block marker
             if insn is not None and insn.opcode not in TRANSLATABLE_OPS:
-                # No block can start on an untranslatable opcode.
-                # The decoded-instruction cache answers that byte-
-                # precisely, where a no-block marker would be dropped
-                # by any store on its page and rediscovered.
+                # No block can start on an untranslatable opcode; the
+                # decoded-instruction cache says so without discovery,
+                # and the marker spans just the opcode byte.
+                block = SuperBlock(eip, eip + 1, (), 0)
+            elif not cache.note_miss(eip):
                 return None
-            if not cache.note_miss(eip):
-                return None
-            block = discover(memory, eip)
+            else:
+                block = discover(memory, eip)
+                if len(block.insns) == MIN_BLOCK_INSNS and not cache.note_short(eip):
+                    return None
             if block.insns:
-                translate(block)
+                translate(block, self.broadcast)
                 self.translations.add()
                 if self.obs is not None:
                     self.obs.publish(
@@ -820,8 +846,8 @@ class BlockEngine:
                         cost=block.cost,
                     )
             cache.put(block)
-            # Every page a cached verdict spans must broadcast stores
-            # (trace-tier slab writes bypass the bus otherwise).
+            # Every span a cached verdict read joins its granule's snoop
+            # hull (compiled slab stores bypass the bus otherwise).
             memory.note_snooped_range(block.start, block.end)
             if block.run is None:
                 return None

@@ -84,7 +84,8 @@ def build_parser():
         "--cfa",
         action="store_true",
         help="run the control-flow-attestation overhead bench "
-        "(path recording on vs. off, every execution tier)",
+        "(path recording on vs. off, every execution tier, alu and "
+        "call workloads)",
     )
     parser.add_argument(
         "--fleet",
@@ -129,7 +130,7 @@ def build_parser():
         help="fail (exit 1) if a JIT tier regresses on any throughput "
         "workload (blocks vs. fastpath everywhere; traces vs. blocks "
         "on alu/mem and >= 2x on irq; traces vs. fastpath on irq and "
-        "shared, >= 1.5x on call)",
+        "shared, >= 1.5x on call, >= 5x on stack)",
     )
     return parser
 
@@ -145,6 +146,7 @@ _THROUGHPUT_GATES = (
     ("traces_vs_fastpath", 1.0, ("irq",)),
     ("traces_vs_fastpath", 1.0, ("shared",)),
     ("traces_vs_fastpath", 1.5, ("call",)),
+    ("traces_vs_fastpath", 5.0, ("stack",)),
 )
 
 

@@ -116,17 +116,22 @@ class TestRamRegion:
         if words is not None:
             assert words[0] == 1
 
-    def test_snooped_pages_accumulate(self):
-        from repro.hw.memory import SNOOP_PAGE_SHIFT, MemoryMap, PhysicalMemory
+    def test_snoop_hulls_accumulate(self):
+        from repro.hw.memory import MemoryMap, PhysicalMemory
 
         memory = PhysicalMemory(MemoryMap())
         memory.map.add(RamRegion("r", 0x1000, 0x1000))
-        assert memory.snooped_pages == set()
-        memory.note_snooped_range(0x1000, 0x1101)
-        assert memory.snooped_pages == {
-            0x1000 >> SNOOP_PAGE_SHIFT,
-            0x1100 >> SNOOP_PAGE_SHIFT,
-        }
+        assert memory.snoop_hulls == {}
+        # A span crossing a granule boundary leaves one hull per
+        # granule, each clipped to its granule.
+        memory.note_snooped_range(0x1040, 0x1101)
+        assert memory.snoop_hulls == {0x10: (0x1040, 0x1100), 0x11: (0x1100, 0x1101)}
+        memory.note_snooped_range(0x1080, 0x1090)  # inside: unchanged
+        assert memory.snoop_hulls[0x10] == (0x1040, 0x1100)
+        memory.note_snooped_range(0x1010, 0x1014)  # below: grows down
+        assert memory.snoop_hulls[0x10] == (0x1010, 0x1100)
+        memory.note_snooped_range(0x11F0, 0x11F4)  # above: grows up
+        assert memory.snoop_hulls[0x11] == (0x1100, 0x11F4)
 
 
 class TestMemoryMap:

@@ -19,6 +19,7 @@ from repro.perf.bench_core import (
     DATA_BASE,
     STACK_BASE,
     _build_mode_rig,
+    _call_source,
     _run,
     _shared_source,
     build_rig,
@@ -29,6 +30,7 @@ from repro.perf.blocks import (
     HOT_THRESHOLD,
     MAX_BLOCK_INSNS,
     MIN_BLOCK_INSNS,
+    SHORT_HOT_THRESHOLD,
     BlockCache,
     SuperBlock,
     discover,
@@ -325,13 +327,36 @@ class TestCacheMechanics:
         assert not block.valid
         assert cache.stats.invalidations == 1
 
-    def test_marker_dropped_by_any_write_on_its_page(self):
+    def test_shortest_block_compiles_only_when_hot(self):
+        # A two-instruction leaf: cold, it stays interpreted (a compile
+        # would not pay off); hot, it runs as a block.
+        def blocks_mode(iterations):
+            cpu, timer = _build_mode_rig(_call_source(iterations, leaf=2), "blocks")
+            _run(cpu, timer)
+            return cpu.block_engine
+
+        cold = blocks_mode(SHORT_HOT_THRESHOLD // 2)
+        assert cold.translations.value == 0
+        hot = blocks_mode(4 * SHORT_HOT_THRESHOLD)
+        assert hot.translations.value == 1
+        assert hot.snapshot()["retired"]["block"] > 4 * SHORT_HOT_THRESHOLD
+        # The CPU interprets the markers' addresses (call, ret, subi,
+        # jnz, hlt) without asking the engine.
+        markers = {b.start for b in hot.cache.entries.values() if b.is_marker()}
+        assert len(markers) == 5 and hot.refused == markers
+
+    def test_marker_dropped_only_by_a_write_on_its_bytes(self):
+        # A marker spans the bytes discovery read, like any block.
         cache = BlockCache()
-        marker = SuperBlock(0x1010, 0x1011, (), 0)
+        marker = SuperBlock(0x1010, 0x1013, (), 0)
         cache.put(marker)
         cache.note_write(0x1100, 4)  # next page: kept
+        cache.note_write(0x10FC, 4)  # elsewhere on its page: kept
+        cache.note_write(0x100C, 4)  # just below its bytes: kept
+        cache.note_write(0x1013, 1)  # just past its bytes: kept
         assert cache.entries[0x1010] is marker
-        cache.note_write(0x10FC, 4)  # far from its bytes, same page
+        assert cache.stats.invalidations == 0
+        cache.note_write(0x1012, 1)  # its last byte
         assert 0x1010 not in cache.entries
 
     def test_reput_leaves_no_stale_span(self):
@@ -401,7 +426,9 @@ class TestHorizon:
 class TestBench:
     def test_run_bench_all_modes_equivalent(self):
         result = run_bench(instructions=2_000)
-        assert set(result["workloads"]) == {"alu", "mem", "irq", "shared", "call"}
+        assert set(result["workloads"]) == {
+            "alu", "mem", "irq", "shared", "call", "leaf2", "stack",
+        }
         for entry in result["workloads"].values():
             assert set(entry["modes"]) == {
                 "baseline",

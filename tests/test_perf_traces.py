@@ -12,6 +12,8 @@ return guard that side-exits on a rewritten return address, and CFA
 edge recording is baked into both.
 """
 
+import io
+
 import pytest
 
 from repro.core.system import build_freertos_baseline
@@ -29,7 +31,9 @@ from repro.perf.bench_core import (
     _run,
     _shared_source,
     _snapshot,
+    _stack_source,
 )
+from repro.perf import traces as traces_mod
 from repro.perf.traces import TRACE_HOT_EDGE, Trace, TraceCache, build_trace, EdgeProfile
 
 #: A loop whose conditional branch flips direction partway through:
@@ -320,16 +324,22 @@ class TestByteSpanSnoop:
         assert trace.start not in cache.entries
         assert not trace.valid
 
-    def test_marker_dropped_by_any_write_on_its_page(self):
+    def test_marker_dropped_only_by_a_write_on_its_bytes(self):
+        # A refused head's marker spans the bytes the failed build read
+        # (here just the ``hlt``), and so do the memory's snoop hulls.
         cpu, cache, trace = self._traced(_COUNTED_SOURCE)
         hlt = trace.spans[-1][1]
         jit = cpu.block_engine.traces
         jit.maybe_build(hlt)
         marker = cache.entries[hlt]
         assert marker.is_marker()
+        assert marker.spans == ((hlt, hlt + 1),)
+        assert cpu.memory.snoop_hulls[hlt >> 8][1] == hlt + 1
         cache.note_write((hlt | 0xFF) + 1, 4)  # next page: kept
+        cache.note_write(hlt | 0xFC, 4)  # elsewhere on the head's page: kept
+        cache.note_write(hlt + 1, 4)  # just past the head: kept
         assert cache.entries[hlt] is marker
-        cache.note_write(hlt | 0xFC, 4)  # far from the head, same page
+        cache.note_write(hlt, 1)  # the head itself
         assert hlt not in cache.entries
         assert cache.entries[trace.start] is trace
 
@@ -363,6 +373,141 @@ class TestByteSpanSnoop:
         assert not kernel.faulted
         compiles = _trace_stats(platform.cpu)["compiles"]
         assert 1 <= compiles <= 4
+
+
+#: Self-modifying code in the image's first granule: the ``stb``
+#: alternates between a scratch word below the code and the low
+#: immediate byte of the ``addi`` at ``patch`` (writing the counter
+#: there), so a trace's store window is installed by a harmless store
+#: and the next pass's store onto code takes the broadcast path.
+_PATCH_CODE_SOURCE = """\
+scratch:
+    .word 0
+start:
+    movi ebx, scratch
+    movi edx, patch
+    movi ecx, 40
+loop:
+    mov eax, ebx
+    mov ebx, edx
+    mov edx, eax
+    stb ecx, [ebx+2]
+patch:
+    addi esi, 5
+    subi ecx, 1
+    jnz loop
+    hlt
+"""
+
+#: A spinner loaded right after the kernel call task: its code starts
+#: where the call task's stack ends, on the same 256-byte granule.
+_NEIGHBOUR_SOURCE = """
+.section .text
+.global start
+start:
+    movi esi, 0
+again:
+    addi esi, 1
+    xori edi, 3
+    add eax, esi
+    jmp again
+"""
+
+
+class TestStoreProbe:
+    """A compiled store leaves the slab only when its bytes overlap the
+    hull of the cached code on its 256-byte granule."""
+
+    @staticmethod
+    def _steady_writes(source, shared, monkeypatch):
+        """Warm a traced rig until its loop is compiled and has run,
+        then count bus writes over the rest of the run; returns
+        ``(writes, cpu, timer)``."""
+        # Short dispatches, so the loop is still running after warm-up.
+        monkeypatch.setattr(traces_mod, "DEFAULT_LOOP_ITERS", 64)
+        cpu, timer = _build_mode_rig(source, "traces", shared=shared)
+        counters = cpu.block_engine.traces.counters
+        while not counters.compiles.value:
+            cpu.step()
+        for _ in range(4):
+            cpu.step()
+        assert not cpu.halted
+        writes = []
+        raw = cpu.memory.write_raw
+
+        def counting(address, payload):
+            writes.append(address)
+            raw(address, payload)
+
+        cpu.memory.write_raw = counting
+        _run(cpu, timer)
+        return writes, cpu, timer
+
+    def _assert_on_slab(self, source, shared, monkeypatch):
+        writes, cpu, timer = self._steady_writes(source, shared, monkeypatch)
+        reference, ref_timer = _build_mode_rig(source, "fastpath", shared=shared)
+        _run(reference, ref_timer)
+        assert _snapshot(cpu, timer) == _snapshot(reference, ref_timer)
+        assert writes == []
+        assert _trace_stats(cpu)["broadcast"] == {"stores": 0, "wasted": 0}
+        return cpu
+
+    def test_store_probe_is_exact_at_the_hull_edges(self):
+        from repro.perf.spans import store_probe
+
+        hulls = {0x10: (0x1040, 0x1080)}  # code bytes [0x1040, 0x1080)
+
+        def probe(ea, size):
+            return bool(eval(store_probe("e", size), {"S": hulls, "e": ea}))
+
+        for ea, size, overlaps in (
+            (0x103C, 4, False), (0x1040, 4, True), (0x107C, 4, True), (0x1080, 4, False),
+            (0x103E, 2, False), (0x1040, 2, True), (0x107E, 2, True), (0x1080, 2, False),
+            (0x103F, 1, False), (0x1040, 1, True), (0x107F, 1, True), (0x1080, 1, False),
+            (0x1140, 4, False),  # a granule with no cached code
+        ):
+            assert probe(ea, size) is overlaps, (hex(ea), size)
+
+    def test_push_below_hull_stays_on_slab(self, monkeypatch):
+        # The stack is the 64 bytes just below the code, on its granule.
+        cpu = self._assert_on_slab(_stack_source(2_000), "first", monkeypatch)
+        # Every push lands in [CODE_BASE, start), right below the hull.
+        assert cpu.memory.snoop_hulls[CODE_BASE >> 8][0] == cpu.regs.esp == CODE_BASE + 64
+
+    def test_store_above_hull_stays_on_slab(self, monkeypatch):
+        # The counter word sits right after the code, on its granule.
+        cpu = self._assert_on_slab(_shared_source(2_000), True, monkeypatch)
+        counter = cpu.regs.gpr[3]  # ebx
+        hull = cpu.memory.snoop_hulls[counter >> 8]
+        assert hull[1] <= counter
+
+    def test_store_onto_code_broadcasts_drops_and_aborts(self):
+        traced, timer = _build_mode_rig(_PATCH_CODE_SOURCE, "traces", shared="first")
+        _run(traced, timer)
+        reference, ref_timer = _build_mode_rig(_PATCH_CODE_SOURCE, "fastpath", shared="first")
+        _run(reference, ref_timer)
+        # Bit-identical although every other pass rewrites the next
+        # instruction: each trace aborted right after its store.
+        assert _snapshot(traced, timer) == _snapshot(reference, ref_timer)
+        stats = _trace_stats(traced)
+        assert stats["broadcast"]["stores"] > 0
+        assert stats["broadcast"]["wasted"] == 0
+        assert stats["cache"]["invalidations"] > 0
+
+    def test_stack_below_next_task_code_wastes_no_broadcast(self):
+        # The kernel-mix layout: a CFA call task whose stack ends where
+        # the next task's code begins, on one granule.  Its pushes miss
+        # that code's bytes, so none leaves the slab.
+        system = TyTAN()
+        call = system.load_source(_KERNEL_CALL_SOURCE, "call")
+        system.enable_cfa(call)
+        neighbour = system.load_source(_NEIGHBOUR_SOURCE, "neighbour")
+        assert (call.end - 4) >> 8 == neighbour.base >> 8
+        system.run(max_cycles=400_000)
+        stats = system.platform.cpu.cache_stats()["block"]
+        assert stats["retired"]["trace"] >= 0.9 * sum(stats["retired"].values())
+        assert stats["traces"]["broadcast"] == {"stores": 0, "wasted": 0}
+        assert stats["traces"]["slab_store"]["misses"] < 20
 
 
 class TestCacheLifecycle:
@@ -408,6 +553,21 @@ class TestObsIntegration:
             "trace",
         ):
             assert expected in names, expected
+
+    def test_broadcast_counters_exposed(self, tmp_path):
+        platform = Platform(MachineConfig())
+        names = platform.obs.counters.names()
+        assert "jit-store-broadcasts" in names
+        assert "jit-store-broadcasts-wasted" in names
+        from repro.tools import trace as trace_cli
+
+        out = io.StringIO()
+        code = trace_cli.main(
+            ["--demo", "--ms", "1", "--out", str(tmp_path / "t.json"), "--summary"],
+            out=out,
+        )
+        assert code == 0
+        assert "jit-store-broadcasts-wasted" in out.getvalue()
 
     def test_ablated_platform_skips_trace_counters(self):
         platform = Platform(MachineConfig(traces=False))

@@ -20,8 +20,9 @@ A loop body may also ``call`` a random leaf function placed after the
 ``hlt``, so the trace tier stitches ``call`` and guards ``ret`` under
 the same random interrupts.  Pinned examples cover a leaf that
 rewrites its own return address every other call (the return guard
-must side-exit), a nested call, and a ``call`` whose push faults once
-a drifting stack pointer leaves RAM.
+must side-exit), a nested call, a ``call`` whose push faults once a
+drifting stack pointer leaves RAM, and a stack inside the code's own
+snoop granule (pushes beside cached code stay on the slab).
 """
 
 from hypothesis import example, given, settings, strategies as st
@@ -141,6 +142,16 @@ PUSH_FAULT = (
 )
 
 
+#: The stack sits in the code's own 256-byte granule, just above the
+#: code (base 0x100000 is the task RAM base): the call's return address,
+#: the leaf's pushed register and every interrupt frame land beside
+#: cached code without touching it, so compiled pushes stay on the slab.
+STACK_IN_CODE = (
+    ["movi esp, 0x1000F0", "addi eax, 1", "call leaf", "xori edx, 5"],
+    (0, ["push esi", "addi esi, 3", "pop edi"]),
+)
+
+
 def _run(source, blocks, tick_period, traces=True):
     platform = Platform(
         MachineConfig(blocks=blocks, traces=traces, tick_period=tick_period)
@@ -216,6 +227,9 @@ def _run(source, blocks, tick_period, traces=True):
 @example(
     body=PUSH_FAULT[0], leaf=PUSH_FAULT[1], iterations=200, tick_period=3000, in_code=False
 )
+@example(
+    body=STACK_IN_CODE[0], leaf=STACK_IN_CODE[1], iterations=40, tick_period=80, in_code=False
+)
 def test_blocks_invisible_under_random_irqs(body, leaf, iterations, tick_period, in_code):
     source = _program(body, iterations, IN_CODE if in_code else 0x0010_4000, leaf)
     plain = _run(source, blocks=False, tick_period=tick_period)
@@ -273,6 +287,9 @@ def test_blocks_invisible_under_random_irqs(body, leaf, iterations, tick_period,
 @example(body=NESTED_CALL[0], leaf=NESTED_CALL[1], iterations=40, tick_period=70, in_code=True)
 @example(
     body=PUSH_FAULT[0], leaf=PUSH_FAULT[1], iterations=200, tick_period=3000, in_code=False
+)
+@example(
+    body=STACK_IN_CODE[0], leaf=STACK_IN_CODE[1], iterations=40, tick_period=80, in_code=False
 )
 def test_traces_invisible_under_random_irqs(body, leaf, iterations, tick_period, in_code):
     """The trace JIT is architecturally invisible: traces-on vs

@@ -12,11 +12,14 @@ recording must commit to exactly the same path, even when interrupts
 land mid-loop.  Loop bodies may ``call`` a random leaf, so stitched
 call edges and guarded return edges are recorded in trace bodies; the
 examples pinned in ``test_prop_blocks_irq`` (a leaf rewriting its
-return address, a nested call, a faulting push) run here too.
+return address, a nested call, a faulting push, a stack inside the
+code's granule) run here too.
 
-A second property pins the recorder's bulk contract directly:
-``record_run(src, dst, n)`` interleaved with preemption-style seals is
-exactly equivalent to ``n`` single records with the same seals.
+Two more properties pin the recorder's bulk contracts directly:
+``record_run(src, dst, n)`` and ``record_cycle(pattern, n)``,
+interleaved with single records and preemption-style seals, are
+exactly equivalent to ``n`` single records (``n`` passes over
+``pattern``) with the same seals.
 """
 
 from hypothesis import example, given, settings, strategies as st
@@ -28,7 +31,7 @@ from repro.hw.platform import MachineConfig, Platform
 from repro.image.linker import link
 from repro.isa.assembler import assemble
 
-from test_prop_blocks_irq import NESTED_CALL, PUSH_FAULT, RETURN_REWRITE
+from test_prop_blocks_irq import NESTED_CALL, PUSH_FAULT, RETURN_REWRITE, STACK_IN_CODE
 
 _SCRATCH = ("eax", "edx", "esi", "edi", "ebp")
 
@@ -151,6 +154,7 @@ _TIERS = (
 @example(body=RETURN_REWRITE[0], leaf=RETURN_REWRITE[1], iterations=40, tick_period=90)
 @example(body=NESTED_CALL[0], leaf=NESTED_CALL[1], iterations=40, tick_period=70)
 @example(body=PUSH_FAULT[0], leaf=PUSH_FAULT[1], iterations=200, tick_period=3000)
+@example(body=STACK_IN_CODE[0], leaf=STACK_IN_CODE[1], iterations=40, tick_period=80)
 def test_path_evidence_identical_across_tiers_under_random_irqs(
     body, leaf, iterations, tick_period
 ):
@@ -189,6 +193,58 @@ def test_record_run_equivalent_to_repeated_record_with_seals(ops, segment_runs):
         bulk.record_run(src, dst, count)
         for _ in range(count):
             single.record(src, dst)
+    assert bulk.path_digest() == single.path_digest()
+    assert bulk.open_runs() == single.open_runs()
+    assert (bulk.edges, bulk.sealed, bulk.dropped) == (
+        single.edges,
+        single.sealed,
+        single.dropped,
+    )
+
+
+_edge = st.tuples(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3))
+
+#: Single records, edge runs, edge cycles and seals (None), interleaved.
+_cycle_ops = st.lists(
+    st.one_of(
+        st.none(),
+        st.tuples(st.just("record"), _edge),
+        st.tuples(st.just("run"), _edge, st.integers(min_value=0, max_value=9)),
+        st.tuples(
+            st.just("cycle"),
+            st.lists(_edge, max_size=5),
+            st.integers(min_value=0, max_value=12),
+        ),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=_cycle_ops, segment_runs=st.integers(min_value=1, max_value=8))
+def test_record_cycle_equivalent_to_repeated_records_with_seals(ops, segment_runs):
+    bulk = PathRecorder(segment_runs=segment_runs, max_segments=4)
+    single = PathRecorder(segment_runs=segment_runs, max_segments=4)
+    for op in ops:
+        if op is None:
+            bulk.seal()
+            single.seal()
+        elif op[0] == "record":
+            bulk.record(*op[1])
+            single.record(*op[1])
+        elif op[0] == "run":
+            bulk.record_run(op[1][0], op[1][1], op[2])
+            for _ in range(op[2]):
+                single.record(*op[1])
+        else:
+            pattern, count = op[1], op[2]
+            bulk.record_cycle(pattern, count)
+            for _ in range(count):
+                for src, dst in pattern:
+                    single.record(src, dst)
+    assert [(s.index, s.runs, s.prev, s.digest) for s in bulk.segments] == [
+        (s.index, s.runs, s.prev, s.digest) for s in single.segments
+    ]
     assert bulk.path_digest() == single.path_digest()
     assert bulk.open_runs() == single.open_runs()
     assert (bulk.edges, bulk.sealed, bulk.dropped) == (
